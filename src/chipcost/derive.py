@@ -1,6 +1,7 @@
 """Physical derivation: connectivity, power, pads, and area per chip.
 
-The netlist is turned into per-IO-type instance matrices between chips.
+The netlist is turned into per-IO-type instance matrices between chips,
+then tallied onto the chips in one pass over the nets.
 Power rolls up the tree, pad counts follow from connectivity plus power
 and test needs, and the final area of each chip is the largest of its
 core+IO silicon, its stack footprint, and the area its pads demand.
@@ -56,14 +57,6 @@ class ConnectionMatrices:
 
     entries: dict[str, dict[tuple[str, str], int]]
     resolved: tuple[ResolvedNet, ...]
-
-    def row_sum(self, io_name: str, chip: str) -> int:
-        m = self.entries.get(io_name, {})
-        return sum(n for (s, _), n in m.items() if s == chip)
-
-    def col_sum(self, io_name: str, chip: str) -> int:
-        m = self.entries.get(io_name, {})
-        return sum(n for (_, d), n in m.items() if d == chip)
 
 
 @dataclass(frozen=True)
@@ -127,49 +120,82 @@ def build_matrices(system_names: set[str], nets: tuple[NetSpec, ...],
     return ConnectionMatrices(entries=entries, resolved=tuple(resolved))
 
 
-def io_area(chip_name: str, matrices: ConnectionMatrices,
-            library: Library) -> float:
-    """Cell area on this chip: tx per matrix row, rx per column, plus the
-    resolving side of external nets. A bidirectional cell transmits and
-    receives, so both areas land on both endpoints. Routing-only traffic
-    adds nothing."""
-    area = 0.0
+@dataclass(frozen=True)
+class NetTally:
+    """What the netlist puts on each chip, keyed by chip name.
+
+    area_io and power_io land on the terminal chips of a net, or on the
+    resolving chip alone for an external net. external_pads holds, by IO
+    type, the pads of the external nets a chip resolves; crossing_pads
+    the pads of internal nets crossing the boundary of its subtree.
+    """
+
+    area_io: dict[str, float]
+    power_io: dict[str, float]
+    external_pads: dict[str, dict[str, int]]
+    crossing_pads: dict[str, dict[str, int]]
+
+
+def _add_pads(tally: dict[str, int], rn: ResolvedNet) -> None:
+    tally[rn.net.io_type] = tally.get(rn.net.io_type, 0) + rn.pads
+
+
+def _cell_areas(io: IODefinition) -> tuple[float, float]:
+    """Cell area per instance on the (source, dest) side of a link. A
+    bidirectional cell transmits and receives, so both land on each side."""
+    if io.bidirectional:
+        both = io.tx_area + io.rx_area
+        return both, both
+    return io.tx_area, io.rx_area
+
+
+def tally_nets(root: ChipSpec, matrices: ConnectionMatrices,
+               library: Library) -> NetTally:
+    """One pass over the nets. Each chip's float sums still run in net
+    order, so the totals are the same as a scan of every net per chip."""
+    parent: dict[str, str] = {}
+    depth = {root.name: 0}
+    for chip in root.walk():
+        for c in chip.children:
+            parent[c.name] = chip.name
+            depth[c.name] = depth[chip.name] + 1
+    area = dict.fromkeys(depth, 0.0)
+    power = dict.fromkeys(depth, 0.0)
+    external: dict[str, dict[str, int]] = {name: {} for name in depth}
+    crossing: dict[str, dict[str, int]] = {name: {} for name in depth}
+
+    # cell area of internal nets from the aggregated matrix: tx per row,
+    # rx per column; a chip that only routes a net gets none
     for io_name, m in matrices.entries.items():
-        io = library.ios[io_name]
+        tx, rx = _cell_areas(library.ios[io_name])
         for (src, dst), inst in m.items():
-            if io.bidirectional:
-                if chip_name in (src, dst):
-                    area += (io.tx_area + io.rx_area) * inst
-            else:
-                if src == chip_name:
-                    area += io.tx_area * inst
-                if dst == chip_name:
-                    area += io.rx_area * inst
+            area[src] += tx * inst
+            area[dst] += rx * inst
     for rn in matrices.resolved:
-        if not rn.internal and rn.resolving == chip_name:
-            if rn.io.bidirectional:
-                area += (rn.io.tx_area + rn.io.rx_area) * rn.instances
-            elif rn.net.source == chip_name:
-                area += rn.io.tx_area * rn.instances
-            else:
-                area += rn.io.rx_area * rn.instances
-    return area
-
-
-def io_power(chip_name: str, matrices: ConnectionMatrices) -> float:
-    """Link power charged at each resolving terminal: pJ/bit times Gbit/s
-    times utilization gives mW, converted to W."""
-    power = 0.0
-    for rn in matrices.resolved:
-        at_src = rn.net.source == chip_name
-        at_dst = rn.net.dest == chip_name
-        if not (at_src or at_dst):
+        # link power at each resolving terminal: pJ/bit times Gbit/s times
+        # utilization gives mW, converted to W
+        p = rn.io.energy_per_bit * rn.bandwidth_used * rn.net.utilization \
+            * 1e-3
+        if not rn.internal:
+            r = rn.resolving
+            tx, rx = _cell_areas(rn.io)
+            area[r] += (tx if rn.net.source == r else rx) * rn.instances
+            power[r] += p
+            _add_pads(external[r], rn)
             continue
-        if not rn.internal and rn.resolving != chip_name:
-            continue
-        power += (rn.io.energy_per_bit * rn.bandwidth_used
-                  * rn.net.utilization * 1e-3)
-    return power
+        a, b = rn.net.source, rn.net.dest
+        power[a] += p
+        power[b] += p
+        # the net crosses the boundary of each subtree holding one endpoint
+        # only: those rooted below the lowest common ancestor on the paths
+        # up from either endpoint
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            _add_pads(crossing[a], rn)
+            a = parent[a]
+    return NetTally(area_io=area, power_io=power, external_pads=external,
+                    crossing_pads=crossing)
 
 
 def stack_area(children: tuple[DerivedChip, ...],
@@ -288,31 +314,6 @@ def place_pads(side0: float, signal_by_type: dict[str, int],
                    n_test=n_test, grown=grown)
 
 
-def _crossing_pads(subtree_names: frozenset[str],
-                   matrices: ConnectionMatrices) -> dict[str, int]:
-    """Pads of internal nets that cross the boundary of this subtree,
-    by IO type."""
-    out: dict[str, int] = {}
-    for rn in matrices.resolved:
-        if not rn.internal:
-            continue
-        src_in = rn.net.source in subtree_names
-        dst_in = rn.net.dest in subtree_names
-        if src_in != dst_in:
-            out[rn.net.io_type] = out.get(rn.net.io_type, 0) + rn.pads
-    return out
-
-
-def _external_pads(chip_name: str,
-                   matrices: ConnectionMatrices) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for rn in matrices.resolved:
-        if rn.internal or rn.resolving != chip_name:
-            continue
-        out[rn.net.io_type] = out.get(rn.net.io_type, 0) + rn.pads
-    return out
-
-
 def _merge(*tallies: dict[str, int]) -> dict[str, int]:
     out: dict[str, int] = {}
     for tally in tallies:
@@ -321,8 +322,7 @@ def _merge(*tallies: dict[str, int]) -> dict[str, int]:
     return out
 
 
-def derive_chip(chip: ChipSpec, matrices: ConnectionMatrices,
-                library: Library,
+def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
                 parent_asm: AssemblyProcessDef | None) -> DerivedChip:
     ctx = f"chip '{chip.name}'"
     own_asm = (library.assembly_processes[chip.assembly_process]
@@ -332,27 +332,25 @@ def derive_chip(chip: ChipSpec, matrices: ConnectionMatrices,
         raise ValidationError("no assembly process governs this chip's pads",
                               ctx)
 
-    children = tuple(derive_chip(c, matrices, library, own_asm)
+    children = tuple(derive_chip(c, tally, library, own_asm)
                      for c in chip.children)
 
-    p_io = io_power(chip.name, matrices)
+    p_io = tally.power_io[chip.name]
     if chip.black_box_power is not None:
         p_total = chip.black_box_power
     else:
         p_total = chip.core_power + sum(c.power_total for c in children) + p_io
 
     a_core = chip.core_area
-    a_io = io_area(chip.name, matrices, library)
+    a_io = tally.area_io[chip.name]
     a_stack = stack_area(children, own_asm)
 
     # pads: own boundary-crossing signals plus each child's bonded face,
     # which together cover both faces of this chip
-    own_cross = _crossing_pads(frozenset([chip.name]) | frozenset(
-        c.spec.name for d in children for c in d.walk()), matrices)
-    child_cross = [_crossing_pads(frozenset(c.spec.name for c in d.walk()),
-                                  matrices) for d in children]
-    signal_by_type = _merge(own_cross, _external_pads(chip.name, matrices),
-                            *child_cross)
+    own_cross = tally.crossing_pads[chip.name]
+    external = tally.external_pads[chip.name]
+    signal_by_type = _merge(own_cross, external, *(
+        tally.crossing_pads[c.spec.name] for c in children))
     n_power = power_pad_count(p_total, chip.core_voltage, interface_asm, ctx)
     n_test = test_io_count(library.test_processes[chip.test_self])
 
@@ -381,8 +379,7 @@ def derive_chip(chip: ChipSpec, matrices: ConnectionMatrices,
                 f"child '{c.spec.name}' area {c.area:.6g} exceeds parent "
                 f"area {area:.6g}", ctx)
 
-    own_pads_below = (sum(own_cross.values())
-                      + sum(_external_pads(chip.name, matrices).values()))
+    own_pads_below = sum(own_cross.values()) + sum(external.values())
     return DerivedChip(
         spec=chip, children=children,
         area_core=a_core, area_io=a_io, area_stack=a_stack,
@@ -397,5 +394,6 @@ def derive(system: ValidatedSystem) -> DerivedSystem:
     """Resolve the whole tree bottom-up."""
     names = {c.name for c in system.root.walk()}
     matrices = build_matrices(names, system.nets, system.library)
-    root = derive_chip(system.root, matrices, system.library, parent_asm=None)
+    tally = tally_nets(system.root, matrices, system.library)
+    root = derive_chip(system.root, tally, system.library, parent_asm=None)
     return DerivedSystem(system=system, matrices=matrices, root=root)

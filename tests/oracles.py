@@ -146,3 +146,69 @@ def stitch_layout_edges(n: int) -> int:
         if (i, j + 1) in cells:
             edges += 1
     return edges
+
+
+def naive_net_tally(root, matrices, library):
+    """Per-chip net sums by scanning every net once per chip, with the
+    crossing pads of a subtree found by testing both endpoints of each
+    internal net for membership. O(chips x nets); each chip's float sums
+    run in net order, so the result must equal the one-pass tally
+    exactly."""
+    from chipcost.derive import NetTally
+
+    def area_of(name):
+        area = 0.0
+        for io_name, m in matrices.entries.items():
+            io = library.ios[io_name]
+            for (src, dst), inst in m.items():
+                if io.bidirectional:
+                    if name in (src, dst):
+                        area += (io.tx_area + io.rx_area) * inst
+                else:
+                    if src == name:
+                        area += io.tx_area * inst
+                    if dst == name:
+                        area += io.rx_area * inst
+        for rn in matrices.resolved:
+            if not rn.internal and rn.resolving == name:
+                if rn.io.bidirectional:
+                    area += (rn.io.tx_area + rn.io.rx_area) * rn.instances
+                elif rn.net.source == name:
+                    area += rn.io.tx_area * rn.instances
+                else:
+                    area += rn.io.rx_area * rn.instances
+        return area
+
+    def power_of(name):
+        power = 0.0
+        for rn in matrices.resolved:
+            if name not in (rn.net.source, rn.net.dest):
+                continue
+            if not rn.internal and rn.resolving != name:
+                continue
+            power += (rn.io.energy_per_bit * rn.bandwidth_used
+                      * rn.net.utilization * 1e-3)
+        return power
+
+    def pads_where(keep):
+        out = {}
+        for rn in matrices.resolved:
+            if keep(rn):
+                out[rn.net.io_type] = out.get(rn.net.io_type, 0) + rn.pads
+        return out
+
+    def crossing_of(chip):
+        inside = {c.name for c in chip.walk()}
+        return pads_where(lambda rn: rn.internal and (
+            (rn.net.source in inside) != (rn.net.dest in inside)))
+
+    def external_of(name):
+        return pads_where(
+            lambda rn: not rn.internal and rn.resolving == name)
+
+    chips = list(root.walk())
+    return NetTally(
+        area_io={c.name: area_of(c.name) for c in chips},
+        power_io={c.name: power_of(c.name) for c in chips},
+        external_pads={c.name: external_of(c.name) for c in chips},
+        crossing_pads={c.name: crossing_of(c) for c in chips})

@@ -202,3 +202,20 @@ def test_evaluation_is_fast_enough_for_sweeps(gp_system, handcheck_system):
     rows = cc.run_sweep(handcheck_system, plan, jobs=8)
     assert len(rows) == 1000
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_derive_scales_to_a_thousand_tiles(gp_system):
+    # derive makes one pass over the nets: at 1024 tiles it took 540 ms
+    # when every chip rescanned every net, and about 17 ms in one pass
+    axis = SplitAxis(chip="tile", counts=(), side_bandwidth=1024.0,
+                     io_type="mesh_link", external_prefix="edge",
+                     utilization=1.0)
+    lib, root, nets = apply_split(gp_system.library, gp_system.root,
+                                  gp_system.nets, axis, 1024)
+    system = cc.validate_system(root, nets, lib)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        cc.derive(system)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.2

@@ -3,10 +3,13 @@ import math
 import pytest
 
 import chipcost as cc
-from chipcost.derive import (ConnectionMatrices, build_matrices, derive,
-                             io_area, io_power, net_instances, place_pads,
-                             power_pad_count, stack_area, _band_area)
+from chipcost.derive import (build_matrices, derive, net_instances,
+                             place_pads, power_pad_count, stack_area,
+                             tally_nets, _band_area)
 from chipcost.derive import test_io_count as scan_io_count
+from chipcost.sweep import SplitAxis, apply_split
+from gensys import make_system
+from oracles import naive_net_tally
 
 IO4 = cc.IODefinition(name="io4", tx_area=0.1, rx_area=0.2, bandwidth=4.0,
                       reach=2.0, wires_per_instance=4, energy_per_bit=1.0)
@@ -31,6 +34,18 @@ def net(src, dst, io="io4", **kw):
     return cc.NetSpec(source=src, dest=dst, io_type=io, **kw)
 
 
+def chip(name, *children):
+    return cc.ChipSpec(name=name, core_area=1.0, core_power=0.0,
+                       core_voltage=1.0, quantity=1, layers=("m",),
+                       wafer_process="w", test_self="t", children=children)
+
+
+def flat_tally(names, nets, lib):
+    """Tally of the nets over leaf chips `names` under one package root."""
+    root = chip("pkg", *(chip(n) for n in names))
+    return tally_nets(root, build_matrices({"pkg", *names}, nets, lib), lib)
+
+
 class TestInstances:
     def test_bandwidth_rounds_up(self):
         assert net_instances(net("a", "b", bandwidth=8.0), IO4) == 2
@@ -53,9 +68,10 @@ class TestMatrices:
         m = build_matrices({"a", "b"}, (net("a", "b", bandwidth=8.0),
                                         net("b", "a", bandwidth=4.0)),
                            tiny_library())
-        assert m.entries["io4"] == {("a", "b"): 2, ("b", "a"): 1}
-        assert m.row_sum("io4", "a") == 2
-        assert m.col_sum("io4", "a") == 1
+        entries = m.entries["io4"]
+        assert entries == {("a", "b"): 2, ("b", "a"): 1}
+        assert sum(n for (s, _), n in entries.items() if s == "a") == 2
+        assert sum(n for (_, d), n in entries.items() if d == "a") == 1
 
     def test_parallel_nets_accumulate(self):
         m = build_matrices({"a", "b"}, (net("a", "b", bandwidth=8.0),
@@ -73,56 +89,88 @@ class TestMatrices:
 
 class TestIOArea:
     def test_tx_only(self):
-        m = build_matrices({"a", "b"}, (net("a", "b", count=2),),
-                           tiny_library())
-        assert io_area("a", m, tiny_library()) == pytest.approx(0.2)
-        assert io_area("b", m, tiny_library()) == pytest.approx(0.4)
+        t = flat_tally("ab", (net("a", "b", count=2),), tiny_library())
+        assert t.area_io["a"] == pytest.approx(0.2)
+        assert t.area_io["b"] == pytest.approx(0.4)
 
     def test_untouched_chip_has_none(self):
-        m = build_matrices({"a", "b", "c"}, (net("a", "b", count=2),),
-                           tiny_library())
-        assert io_area("c", m, tiny_library()) == 0.0
+        t = flat_tally("abc", (net("a", "b", count=2),), tiny_library())
+        assert t.area_io["c"] == 0.0
 
     def test_bidirectional_charges_both_functions_per_side(self):
         lib = tiny_library(bidi=BIDI)
-        m = build_matrices({"a", "b"}, (net("a", "b", io="bidi", count=3),),
-                           lib)
+        nets = (net("a", "b", io="bidi", count=3),)
+        m = build_matrices({"a", "b"}, nets, lib)
         # one matrix entry, but each side holds 3 transceivers
         assert m.entries["bidi"] == {("a", "b"): 3}
-        assert io_area("a", m, lib) == pytest.approx(0.3)
-        assert io_area("b", m, lib) == pytest.approx(0.3)
+        t = flat_tally("ab", nets, lib)
+        assert t.area_io["a"] == pytest.approx(0.3)
+        assert t.area_io["b"] == pytest.approx(0.3)
 
     def test_external_net_charges_resolving_side_only(self):
-        lib = tiny_library()
-        m = build_matrices({"a"}, (net("a", "host", count=2),), lib)
-        assert io_area("a", m, lib) == pytest.approx(0.2)   # tx side
+        t = flat_tally("a", (net("a", "host", count=2),), tiny_library())
+        assert t.area_io["a"] == pytest.approx(0.2)   # tx side
 
     def test_external_receive(self):
-        lib = tiny_library()
-        m = build_matrices({"a"}, (net("host", "a", count=2),), lib)
-        assert io_area("a", m, lib) == pytest.approx(0.4)   # rx side
+        t = flat_tally("a", (net("host", "a", count=2),), tiny_library())
+        assert t.area_io["a"] == pytest.approx(0.4)   # rx side
 
 
 class TestIOPower:
     def test_both_terminals_pay_for_internal_net(self):
-        m = build_matrices({"a", "b"},
-                           (net("a", "b", bandwidth=8.0, utilization=0.5),),
-                           tiny_library())
+        t = flat_tally("ab", (net("a", "b", bandwidth=8.0, utilization=0.5),),
+                       tiny_library())
         # 1 pJ/bit * 8 Gbit/s * 0.5 = 4 mW
-        assert io_power("a", m) == pytest.approx(4e-3)
-        assert io_power("b", m) == pytest.approx(4e-3)
+        assert t.power_io["a"] == pytest.approx(4e-3)
+        assert t.power_io["b"] == pytest.approx(4e-3)
 
     def test_external_net_charges_resolver_only(self):
-        m = build_matrices({"a"}, (net("a", "host", bandwidth=8.0),),
-                           tiny_library())
-        assert io_power("a", m) == pytest.approx(8e-3)
-        assert io_power("host", m) == 0.0
+        t = flat_tally("a", (net("a", "host", bandwidth=8.0),),
+                       tiny_library())
+        assert t.power_io["a"] == pytest.approx(8e-3)
+        assert "host" not in t.power_io
 
     def test_count_net_uses_io_bandwidth_as_proxy(self):
-        m = build_matrices({"a", "b"}, (net("a", "b", count=3),),
-                           tiny_library())
+        t = flat_tally("ab", (net("a", "b", count=3),), tiny_library())
         # 3 instances x 4 Gbit/s each at utilization 1
-        assert io_power("a", m) == pytest.approx(12e-3)
+        assert t.power_io["a"] == pytest.approx(12e-3)
+
+
+class TestNetTally:
+    def test_pads_cross_every_subtree_below_the_common_ancestor(self):
+        # pkg holds x and y; x holds a, y holds b and c
+        root = chip("pkg", chip("x", chip("a")), chip("y", chip("b"),
+                                                      chip("c")))
+        lib = tiny_library()
+        nets = (net("a", "b", count=1), net("b", "c", count=2),
+                net("c", "host", count=3))
+        names = {c.name for c in root.walk()}
+        t = tally_nets(root, build_matrices(names, nets, lib), lib)
+        # 4 wires per instance; a->b leaves a, x, b and y; b->c only b, c
+        assert t.crossing_pads == {"pkg": {}, "x": {"io4": 4},
+                                   "a": {"io4": 4}, "y": {"io4": 4},
+                                   "b": {"io4": 12}, "c": {"io4": 8}}
+        assert t.external_pads["c"] == {"io4": 12}
+        assert t.external_pads["y"] == {}
+
+    @pytest.mark.parametrize("seed", range(0, 1000, 100))
+    def test_matches_per_chip_scans_on_random_systems(self, seed):
+        for s in range(seed, seed + 100):
+            system = make_system(s)
+            ds = derive(system)
+            assert (tally_nets(system.root, ds.matrices, system.library)
+                    == naive_net_tally(system.root, ds.matrices,
+                                       system.library))
+
+    @pytest.mark.parametrize("n", (1, 16, 64, 256, 1024))
+    def test_matches_per_chip_scans_on_tile_splits(self, gp_system, n):
+        axis = SplitAxis(chip="tile", counts=(), side_bandwidth=1024.0,
+                         io_type="mesh_link", external_prefix="edge",
+                         utilization=1.0)
+        lib, root, nets = apply_split(gp_system.library, gp_system.root,
+                                      gp_system.nets, axis, n)
+        m = derive(cc.validate_system(root, nets, lib)).matrices
+        assert tally_nets(root, m, lib) == naive_net_tally(root, m, lib)
 
 
 class TestStackArea:
