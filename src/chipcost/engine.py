@@ -86,8 +86,13 @@ def test_cost(tp: TestProcessDef) -> float:
 
 
 def tested_yield(fault_coverage: float, true_yield: float) -> float:
-    """Share of parts that pass the test: all good ones plus the escapes."""
-    return 1.0 - fault_coverage * (1.0 - true_yield)
+    """Share of parts that pass the test: all good ones plus the escapes.
+
+    Written as y + escapes rather than 1 - coverage * (1 - y), which
+    cancels and can land below y; the clamp keeps rounding inside [y, 1].
+    """
+    y = true_yield + (1.0 - fault_coverage) * (1.0 - true_yield)
+    return min(1.0, max(true_yield, y))
 
 
 def quality(true_yield: float, y_tested: float) -> float:

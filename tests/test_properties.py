@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chipcost.engine import (assembly_yield, defect_yield, litho_multiplier,
@@ -30,6 +30,7 @@ class TestYieldKernelProperties:
         assert defect_yield(d, a * grow, alpha) < defect_yield(d, a, alpha)
 
     @given(y=st.floats(0.01, 1.0), cov=st.floats(0.0, 1.0))
+    @example(y=0.013004176556059703, cov=1.0)
     def test_test_chain(self, y, cov):
         yt = yield_after_test(cov, y)
         assert y <= yt <= 1.0
