@@ -33,6 +33,17 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
                    help="output path (default: stdout)")
 
 
+def _jobs(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number, got '{text}'") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -80,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     _add_system_args(p_sweep)
     p_sweep.add_argument("--sweep", required=True, help="sweep definition XML")
-    p_sweep.add_argument("--jobs", type=int, default=1,
+    p_sweep.add_argument("--jobs", type=_jobs, default=1,
                          help="concurrent evaluations")
     p_sweep.set_defaults(fn=_cmd_sweep)
     return parser

@@ -18,15 +18,15 @@ import io
 import itertools
 import math
 import re
-import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .derive import derive
 from .engine import evaluate
-from .errors import ConfigError, ValidationError, XmlError
+from .errors import ValidationError
 from .model import ChipSpec, Library, NetSpec, ValidatedSystem, validate_system
 from .report import SCHEMA_VERSION, format_value
+from .xmlio import _parse_xml
 
 _LIB_KINDS = {
     "io": "ios",
@@ -78,27 +78,35 @@ class SweepPlan:
     axes: tuple[FieldAxis | SplitAxis, ...]
 
 
-def _parse_values(text: str) -> tuple[float, ...]:
+def _number(text: str, what: str, context: str) -> float:
+    """A finite float, or a ValidationError naming what was bad."""
     try:
-        out = tuple(float(v.strip()) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise ValidationError(f"bad values list '{text}': {exc}", "sweep")
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{what} is not a number: '{text}'",
+                              context) from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got '{text}'", context)
+    return value
+
+
+def _parse_values(text: str, context: str = "sweep") -> tuple[float, ...]:
+    out = tuple(_number(v.strip(), "value", context)
+                for v in text.split(",") if v.strip())
     if not out:
-        raise ValidationError("values list is empty", "sweep")
+        raise ValidationError("values list is empty", context)
     return out
 
 
-def _parse_range(text: str) -> tuple[float, ...]:
+def _parse_range(text: str, context: str = "sweep") -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"range must be start:stop:step, got '{text}'",
-                              "sweep")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ValidationError(f"bad range '{text}': {exc}", "sweep")
+                              context)
+    start, stop, step = (_number(p, f"range '{text}'", context)
+                         for p in parts)
     if step <= 0:
-        raise ValidationError("range step must be > 0", "sweep")
+        raise ValidationError("range step must be > 0", context)
     out = []
     k = 0
     # slack keeps the stop endpoint inclusive under float accumulation,
@@ -111,16 +119,27 @@ def _parse_range(text: str) -> tuple[float, ...]:
         out.append(v)
         k += 1
     if not out:
-        raise ValidationError(f"range '{text}' produces no values", "sweep")
+        raise ValidationError(f"range '{text}' produces no values", context)
     return tuple(out)
 
 
+def _parse_counts(text: str, context: str) -> tuple[int, ...]:
+    counts = []
+    for v in (v.strip() for v in text.split(",")):
+        if not v:
+            continue
+        n = _number(v, "<split> count", context)
+        if n < 1 or n != int(n) or math.isqrt(int(n)) ** 2 != n:
+            raise ValidationError(
+                f"<split> counts must be perfect squares, got {v}", context)
+        counts.append(int(n))
+    if not counts:
+        raise ValidationError("<split> needs counts", context)
+    return tuple(counts)
+
+
 def parse_sweep(path: str) -> SweepPlan:
-    try:
-        tree = ET.parse(path)
-    except ET.ParseError as exc:
-        raise XmlError(f"{exc}", path)
-    root = tree.getroot()
+    root = _parse_xml(path)
     if root.tag != "sweep":
         raise ValidationError(f"expected <sweep> root, got <{root.tag}>", path)
     axes: list[FieldAxis | SplitAxis] = []
@@ -136,27 +155,22 @@ def parse_sweep(path: str) -> SweepPlan:
             if (values is None) == (range_ is None):
                 raise ValidationError(
                     "<param> needs exactly one of values or range", path)
-            pts = (_parse_values(values) if values is not None
-                   else _parse_range(range_))
+            ctx = f"{path}: <param {target}>"
+            pts = (_parse_values(values, ctx) if values is not None
+                   else _parse_range(range_, ctx))
             axes.append(FieldAxis(target=target, values=pts))
         elif elem.tag == "split":
-            counts = tuple(int(float(v)) for v in
-                           elem.get("counts", "").split(",") if v.strip())
-            if not counts:
-                raise ValidationError("<split> needs counts", path)
-            for n in counts:
-                m = math.isqrt(n)
-                if n < 1 or m * m != n:
-                    raise ValidationError(
-                        f"split counts must be perfect squares, got {n}", path)
+            counts = _parse_counts(elem.get("counts", ""), path)
             try:
                 axes.append(SplitAxis(
                     chip=elem.attrib["chip"],
                     counts=counts,
-                    side_bandwidth=float(elem.attrib["side_bandwidth"]),
+                    side_bandwidth=_number(elem.attrib["side_bandwidth"],
+                                           "<split> side_bandwidth", path),
                     io_type=elem.attrib["io"],
                     external_prefix=elem.get("external", "edge"),
-                    utilization=float(elem.get("utilization", "1.0"))))
+                    utilization=_number(elem.get("utilization", "1.0"),
+                                        "<split> utilization", path)))
             except KeyError as exc:
                 raise ValidationError(f"<split> missing attribute {exc}", path)
         else:

@@ -14,6 +14,7 @@ See SCHEMA.md at the repository root for the full format reference.
 """
 from __future__ import annotations
 
+import math
 import os
 import xml.etree.ElementTree as ET
 
@@ -49,10 +50,16 @@ class _Attrs:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ValidationError(
-                f"attribute '{name}' is not a number: '{raw}'", self.context)
+                f"attribute '{name}' is not a number: '{raw}'",
+                self.context) from None
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"attribute '{name}' must be finite, got '{raw}'",
+                self.context)
+        return value
 
     def integer(self, name: str, required: bool = True, default: int = 0):
         value = self.number(name, required, float(default))
@@ -76,14 +83,7 @@ class _Attrs:
             self.context)
 
     def optional_number(self, name: str):
-        raw = self._raw(name, False, None)
-        if raw is None:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(
-                f"attribute '{name}' is not a number: '{raw}'", self.context)
+        return self.number(name, required=False, default=None)
 
     def optional_integer(self, name: str):
         value = self.optional_number(name)

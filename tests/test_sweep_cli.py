@@ -1,7 +1,10 @@
 import csv
 import io
 import math
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -342,6 +345,51 @@ class TestCli:
                      "--sweep", sweep])
         assert code == 2
         assert "empty" in capsys.readouterr().err
+
+
+class TestBadInputExits2:
+    """Bad sweep files and flags exit 2, name the culprit on stderr and
+    print no traceback; run as a separate process, as a user would."""
+
+    SPLIT = '<split chip="tile" counts="{}" side_bandwidth="{}" io="mesh_link"/>'
+
+    def run_cli(self, sweep, *extra):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        return subprocess.run(
+            [sys.executable, "-m", "chipcost.cli", "sweep",
+             "--library", config_path("graph_processor", "library.xml"),
+             "--system", config_path("graph_processor", "system.xml"),
+             "--netlist", config_path("graph_processor", "netlist.xml"),
+             "--sweep", sweep, *extra],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+
+    def assert_exits_2(self, proc, named):
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr
+
+    @pytest.mark.parametrize("body, named", [
+        (SPLIT.format("abc", "1024"), "'abc'"),
+        (SPLIT.format("4.5", "1024"), "4.5"),
+        (SPLIT.format("4", "x"), "side_bandwidth"),
+        ('<param target="system.chip[tile].core_area" values="inf"/>',
+         "system.chip[tile].core_area"),
+        ('<param target="system.chip[tile].core_area" range="1:nan:1"/>',
+         "nan"),
+    ])
+    def test_bad_sweep_file(self, tmp_path, body, named):
+        self.assert_exits_2(self.run_cli(sweep_xml(tmp_path, body)), named)
+
+    def test_missing_sweep_file(self, tmp_path):
+        missing = str(tmp_path / "missing.xml")
+        self.assert_exits_2(self.run_cli(missing), "missing.xml")
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, tmp_path, jobs):
+        sweep = sweep_xml(tmp_path, self.SPLIT.format("1,4", "1024"))
+        self.assert_exits_2(self.run_cli(sweep, f"--jobs={jobs}"), "--jobs")
 
 
 class TestShippedConfigs:

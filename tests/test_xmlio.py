@@ -125,6 +125,12 @@ class TestLibraryParsing:
         with pytest.raises(cc.ValidationError, match="not a number"):
             parse_library(write(tmp_path, "lib.xml", text))
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_attribute_rejected(self, tmp_path, raw):
+        text = LIB_XML.replace('bandwidth="8"', f'bandwidth="{raw}"')
+        with pytest.raises(cc.ValidationError, match="bandwidth.*finite"):
+            parse_library(write(tmp_path, "lib.xml", text))
+
     def test_missing_path_is_config_error(self, tmp_path):
         with pytest.raises(cc.ConfigError):
             parse_library(str(tmp_path / "absent.xml"))
