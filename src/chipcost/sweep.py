@@ -26,7 +26,7 @@ from .engine import evaluate
 from .errors import ValidationError
 from .model import ChipSpec, Library, NetSpec, ValidatedSystem, validate_system
 from .report import SCHEMA_VERSION, format_value
-from .xmlio import _parse_xml
+from .xmlio import _parse_xml, parse_number
 
 _LIB_KINDS = {
     "io": "ios",
@@ -78,20 +78,8 @@ class SweepPlan:
     axes: tuple[FieldAxis | SplitAxis, ...]
 
 
-def _number(text: str, what: str, context: str) -> float:
-    """A finite float, or a ValidationError naming what was bad."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValidationError(f"{what} is not a number: '{text}'",
-                              context) from None
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got '{text}'", context)
-    return value
-
-
 def _parse_values(text: str, context: str = "sweep") -> tuple[float, ...]:
-    out = tuple(_number(v.strip(), "value", context)
+    out = tuple(parse_number(v.strip(), "value", context)
                 for v in text.split(",") if v.strip())
     if not out:
         raise ValidationError("values list is empty", context)
@@ -103,7 +91,7 @@ def _parse_range(text: str, context: str = "sweep") -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValidationError(f"range must be start:stop:step, got '{text}'",
                               context)
-    start, stop, step = (_number(p, f"range '{text}'", context)
+    start, stop, step = (parse_number(p, f"range '{text}'", context)
                          for p in parts)
     if step <= 0:
         raise ValidationError("range step must be > 0", context)
@@ -128,7 +116,7 @@ def _parse_counts(text: str, context: str) -> tuple[int, ...]:
     for v in (v.strip() for v in text.split(",")):
         if not v:
             continue
-        n = _number(v, "<split> count", context)
+        n = parse_number(v, "<split> count", context)
         if n < 1 or n != int(n) or math.isqrt(int(n)) ** 2 != n:
             raise ValidationError(
                 f"<split> counts must be perfect squares, got {v}", context)
@@ -165,12 +153,14 @@ def parse_sweep(path: str) -> SweepPlan:
                 axes.append(SplitAxis(
                     chip=elem.attrib["chip"],
                     counts=counts,
-                    side_bandwidth=_number(elem.attrib["side_bandwidth"],
-                                           "<split> side_bandwidth", path),
+                    side_bandwidth=parse_number(
+                        elem.attrib["side_bandwidth"],
+                        "<split> side_bandwidth", path),
                     io_type=elem.attrib["io"],
                     external_prefix=elem.get("external", "edge"),
-                    utilization=_number(elem.get("utilization", "1.0"),
-                                        "<split> utilization", path)))
+                    utilization=parse_number(
+                        elem.get("utilization", "1.0"),
+                        "<split> utilization", path)))
             except KeyError as exc:
                 raise ValidationError(f"<split> missing attribute {exc}", path)
         else:

@@ -26,6 +26,18 @@ from .model import (AssemblyProcessDef, ChipSpec, IODefinition, LayerDef,
 _DENSITY_UNITS = {"per_mm2": 1.0, "per_cm2": 0.01}
 
 
+def parse_number(text: str, what: str, context: str) -> float:
+    """A finite float, or a ValidationError naming what was bad."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{what} is not a number: '{text}'",
+                              context) from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got '{text}'", context)
+    return value
+
+
 class _Attrs:
     """One element's attributes with typed access and typo detection."""
 
@@ -49,17 +61,7 @@ class _Attrs:
         raw = self._raw(name, required, None)
         if raw is None:
             return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValidationError(
-                f"attribute '{name}' is not a number: '{raw}'",
-                self.context) from None
-        if not math.isfinite(value):
-            raise ValidationError(
-                f"attribute '{name}' must be finite, got '{raw}'",
-                self.context)
-        return value
+        return parse_number(raw, f"attribute '{name}'", self.context)
 
     def integer(self, name: str, required: bool = True, default: int = 0):
         value = self.number(name, required, float(default))

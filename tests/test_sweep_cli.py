@@ -351,7 +351,8 @@ class TestBadInputExits2:
     """Bad sweep files and flags exit 2, name the culprit on stderr and
     print no traceback; run as a separate process, as a user would."""
 
-    SPLIT = '<split chip="tile" counts="{}" side_bandwidth="{}" io="mesh_link"/>'
+    SPLIT = ('<split chip="tile" counts="{}" side_bandwidth="{}"'
+             ' io="mesh_link"/>')
 
     def run_cli(self, sweep, *extra):
         src = os.path.join(os.path.dirname(os.path.dirname(
