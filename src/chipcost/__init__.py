@@ -12,9 +12,9 @@ from .model import (AssemblyProcessDef, ChipSpec, IODefinition, LayerDef,
 from .report import breakdown_rows, report_to_csv, report_to_json
 from .sweep import (SweepPlan, parse_sweep, run_sweep, sweep_columns,
                     sweep_to_csv)
-from .wafer import (DiePackingResult, ReticleFit, dies_per_wafer,
-                    dies_per_wafer_free, dies_per_wafer_grid, free_packing,
-                    grid_packing, reticle_fit)
+from .wafer import (ReticleFit, dies_per_wafer, dies_per_wafer_free,
+                    dies_per_wafer_grid, free_packing, grid_packing,
+                    reticle_fit)
 from .xmlio import (parse_library, parse_netlist, parse_system,
                     serialize_library, serialize_netlist, serialize_system)
 
@@ -22,9 +22,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyProcessDef", "ChipSpec", "ConfigError", "ConnectionMatrices",
-    "CostReport", "DerivedChip", "DerivedSystem", "DiePackingResult",
-    "DuplicateNameError", "IODefinition", "LayerDef", "Library", "NetSpec",
-    "NodeCosts", "ReticleFit", "SweepPlan", "TestProcessDef",
+    "CostReport", "DerivedChip", "DerivedSystem", "DuplicateNameError",
+    "IODefinition", "LayerDef", "Library", "NetSpec", "NodeCosts",
+    "ReticleFit", "SweepPlan", "TestProcessDef",
     "ValidatedSystem", "ValidationError", "WaferProcessDef", "XmlError",
     "assembly_cost", "assembly_yield", "breakdown_rows", "defect_yield",
     "derive", "dies_per_wafer", "dies_per_wafer_free", "dies_per_wafer_grid",

@@ -4,6 +4,12 @@ Everything here is deliberately written by a different route than the
 library code: explicit cell enumeration with corner-in-circle tests
 instead of analytic chord arithmetic, and set-based adjacency counting
 instead of closed-form stitch formulas.
+
+The exception is the pair of naive packers (`naive_grid_packing`,
+`naive_free_packing`): they keep the library's float arithmetic but
+take the slow, obvious route (every row recounted for every grid
+phase) and also return the per-column or per-row layout, so the fast
+kernels must match them exactly.
 """
 import math
 
@@ -12,6 +18,10 @@ import numpy as np
 # Slop on r^2 comparisons: admits corners that touch the boundary up to
 # float noise, rejects genuine overshoot (fixtures use >= 1e-3 mm steps).
 _TOL = 1e-6
+
+# The library's boundary tolerance, for the naive packers that copy its
+# arithmetic.
+_EPS = 1e-9
 
 
 def _cells_inside(r: float, px: float, py: float,
@@ -124,6 +134,104 @@ def free_rows_oracle(die_x: float, die_y: float, diameter: float,
             k += 1
 
     return max(on_diameter, centered)
+
+
+def _naive_grid_rows(r: float, pitch_x: float, pitch_y: float,
+                     x0: float, y0: float):
+    """(first column, die count) of each row of the grid with origin
+    (x0, y0) whose cells lie fully inside radius r, bottom to top."""
+    i_lo = math.ceil((-r - y0) / pitch_y - _EPS)
+    i_hi = math.floor((r - y0) / pitch_y + _EPS) - 1
+    r2 = r * r
+    for i in range(i_lo, i_hi + 1):
+        y_bot = y0 + i * pitch_y
+        y_top = y_bot + pitch_y
+        y_worst = max(abs(y_bot), abs(y_top))
+        rem = r2 - y_worst * y_worst
+        if rem < -_EPS * r2:
+            continue
+        half = math.sqrt(max(0.0, rem))
+        j_lo = math.ceil((-half - x0) / pitch_x - _EPS)
+        j_hi = math.floor((half - x0) / pitch_x + _EPS) - 1
+        if j_hi >= j_lo:
+            yield j_lo, j_hi - j_lo + 1
+
+
+def naive_grid_packing(die_x: float, die_y: float, wafer_diameter: float,
+                       edge_exclusion: float, scribe_x: float,
+                       scribe_y: float) -> tuple[int, tuple[int, ...]]:
+    """The O(H x R) grid packer: every first-column height h recounts
+    every row. Returns the best count and, for the first h reaching it,
+    the per-column die counts left to right. Same float arithmetic as
+    the library kernel, so the counts must agree exactly."""
+    r = wafer_diameter / 2.0 - edge_exclusion
+    pitch_x = die_x + scribe_x
+    pitch_y = die_y + scribe_y
+    if r <= 0.0 or pitch_x <= 0.0 or pitch_y <= 0.0:
+        return 0, ()
+    if die_x <= 0.0 or die_y <= 0.0:
+        return 0, ()
+    best = 0
+    best_seed = None
+    h_max = int(2.0 * r / pitch_y + _EPS)
+    for h in range(1, h_max + 1):
+        half_height = h * pitch_y / 2.0
+        if half_height > r * (1.0 + _EPS):
+            break
+        x0 = -math.sqrt(max(0.0, r * r - half_height * half_height))
+        n = sum(k for _, k in _naive_grid_rows(r, pitch_x, pitch_y, x0,
+                                               -half_height))
+        if n > best:
+            best = n
+            best_seed = (x0, -half_height)
+    if best_seed is None:
+        return 0, ()
+    columns: dict[int, int] = {}
+    for j_lo, k in _naive_grid_rows(r, pitch_x, pitch_y, *best_seed):
+        for j in range(j_lo, j_lo + k):
+            columns[j] = columns.get(j, 0) + 1
+    return best, tuple(columns[j] for j in sorted(columns))
+
+
+def _row_capacity(r: float, pitch_x: float, y_worst: float) -> int:
+    rem = r * r - y_worst * y_worst
+    if rem < 0.0:
+        return 0
+    return int(math.floor(2.0 * math.sqrt(rem) / pitch_x + _EPS))
+
+
+def naive_free_packing(die_x: float, die_y: float, wafer_diameter: float,
+                       edge_exclusion: float, scribe_x: float,
+                       scribe_y: float) -> tuple[int, tuple[int, ...]]:
+    """The free-dicing packer with its per-row layout, bottom to top:
+    rows on the diameter (mirrored below) against a first row centered
+    on it; the better seeding wins."""
+    r = wafer_diameter / 2.0 - edge_exclusion
+    pitch_x = die_x + scribe_x
+    pitch_y = die_y + scribe_y
+    if r <= 0.0 or pitch_x <= 0.0 or pitch_y <= 0.0:
+        return 0, ()
+    if die_x <= 0.0 or die_y <= 0.0:
+        return 0, ()
+
+    def stack(offset: float) -> list[int]:
+        caps = []
+        while True:
+            cap = _row_capacity(r, pitch_x,
+                                offset + (len(caps) + 1) * pitch_y)
+            if cap <= 0:
+                return caps
+            caps.append(cap)
+
+    on = stack(0.0)
+    layout_on = tuple(reversed(on)) + tuple(on)
+    center = _row_capacity(r, pitch_x, pitch_y / 2.0)
+    above = stack(pitch_y / 2.0) if center > 0 else []
+    layout_centered = (tuple(reversed(above)) + (center,) + tuple(above)
+                       if center > 0 else ())
+    if sum(layout_on) >= sum(layout_centered):
+        return sum(layout_on), layout_on
+    return sum(layout_centered), layout_centered
 
 
 def stitch_layout_edges(n: int) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipcost.wafer import (DiePackingResult, dies_per_wafer_free,
-                            dies_per_wafer_grid, free_packing, grid_packing,
-                            reticle_fit)
+import chipcost as cc
+from chipcost.sweep import FieldAxis, apply_field, apply_split
+from chipcost.wafer import (dies_per_wafer_free, dies_per_wafer_grid,
+                            free_packing, grid_packing, reticle_fit)
 
+from conftest import config_path
 from oracles import (free_rows_oracle, grid_family_oracle,
+                     naive_free_packing, naive_grid_packing,
                      origin_sweep_oracle, stitch_layout_edges)
 
 W300 = dict(wafer_diameter=300.0, edge_exclusion=3.0,
@@ -49,10 +53,9 @@ class TestGridDicing:
         assert grid(5.0, 294.0) == 0
 
     def test_layout_accounts_for_every_die(self):
-        r = grid_packing(10.0, 10.0, **W300)
-        assert isinstance(r, DiePackingResult)
-        assert sum(r.layout) == r.dies_per_wafer == 612
-        assert r.layout == tuple(reversed(r.layout))
+        n, columns = naive_grid_packing(10.0, 10.0, **W300)
+        assert sum(columns) == n == grid(10.0, 10.0) == 612
+        assert columns == tuple(reversed(columns))
 
     def test_family_enumerator_on_random_sizes(self):
         rng = random.Random(710217)
@@ -86,8 +89,82 @@ class TestFreeDicing:
         assert free(5.0, 294.0) == 0
 
     def test_layout_accounts_for_every_die(self):
-        r = free_packing(10.0, 10.0, **W300)
-        assert sum(r.layout) == r.dies_per_wafer == 624
+        n, rows = naive_free_packing(10.0, 10.0, **W300)
+        assert sum(rows) == n == free(10.0, 10.0) == 624
+
+
+def random_packing_case(rng: random.Random) -> tuple:
+    """A die of 0.5-1500 mm2 with aspect ratio up to 4 on a 200, 300 or
+    450 mm wafer, edge exclusion 0-5 mm and scribe 0-0.2 mm; a third of
+    the cases rounded to 0.1 mm, where grid phases tie most often."""
+    area = math.exp(rng.uniform(math.log(0.5), math.log(1500.0)))
+    aspect = math.exp(rng.uniform(0.0, math.log(4.0)))
+    x = math.sqrt(area * aspect)
+    y = area / x
+    if rng.random() < 0.5:
+        x, y = y, x
+    case = (x, y, rng.choice((200.0, 300.0, 450.0)), rng.uniform(0.0, 5.0),
+            rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2))
+    if rng.random() < 1.0 / 3.0:
+        case = tuple(round(v, 1) for v in case)
+    return case
+
+
+def shipped_dies():
+    """(die_x, die_y, waferprocess) of every chip that the shipped configs
+    derive, at every point of their sweeps."""
+    dies = set()
+    for study, sweeps in (("graph_processor", ("chiplet_sweep.xml",
+                                               "defect_sweep.xml")),
+                          ("coverage_study", ("coverage_sweep.xml",))):
+        lib = cc.parse_library(config_path(study, "library.xml"))
+        base = cc.parse_system(config_path(study, "system.xml"),
+                               config_path(study, "netlist.xml"), lib)
+        for sweep in sweeps:
+            plan = cc.parse_sweep(config_path(study, sweep))
+            for point in itertools.product(*(a.points for a in plan.axes)):
+                state = (base.library, base.root, base.nets)
+                for axis, value in zip(plan.axes, point):
+                    state = (apply_field(*state, axis.target, value)
+                             if isinstance(axis, FieldAxis)
+                             else apply_split(*state, axis, value))
+                system = cc.validate_system(state[1], state[2], state[0])
+                for chip in cc.derive(system).root.walk():
+                    wp = system.library.wafer_processes[
+                        chip.spec.wafer_process]
+                    dies.add((chip.dim_x, chip.dim_y, wp))
+    return sorted(dies, key=lambda d: (d[0], d[1], d[2].name))
+
+
+def assert_matches_naive(case: tuple) -> None:
+    assert grid_packing.__wrapped__(*case) == \
+        naive_grid_packing(*case)[0], case
+    assert free_packing.__wrapped__(*case) == \
+        naive_free_packing(*case)[0], case
+
+
+class TestKernelsMatchNaivePackers:
+    """The bisecting grid kernel and the free-row kernel against the
+    naive packers, which recount every row: equal counts, exactly."""
+
+    def test_random_cases(self):
+        rng = random.Random(20261018)
+        for _ in range(50):
+            assert_matches_naive(random_packing_case(rng))
+
+    def test_phase_split_case(self):
+        # splitting rows by phase without recounting near-tied rows
+        # found 30362 dies here
+        case = (0.5, 1.5, 200.0, 3.0, 0.1, 0.1)
+        assert naive_grid_packing(*case)[0] == 30366
+        assert_matches_naive(case)
+
+    def test_every_shipped_die(self):
+        dies = shipped_dies()
+        assert len(dies) > 10
+        for x, y, wp in dies:
+            assert_matches_naive((x, y, wp.wafer_diameter, wp.edge_exclusion,
+                                  wp.scribe_x, wp.scribe_y))
 
 
 class TestDominanceAndMonotonicity:
