@@ -16,6 +16,7 @@ touch only the resolving chip.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -93,11 +94,22 @@ class DerivedSystem:
     root: DerivedChip
 
 
+def _finite(value, what: str, context: str):
+    """The value, or a ValidationError naming the element if it overflowed:
+    a float to inf, or an int past float range (any area product of it
+    would raise). Python compares ints with floats exactly."""
+    if value <= sys.float_info.max:
+        return value
+    raise ValidationError(f"{what} overflows", context)
+
+
 def net_instances(net: NetSpec, io: IODefinition) -> int:
     """Instance count: explicit, or enough IO bandwidth for the request."""
     if net.count is not None:
         return net.count
-    return int(math.ceil(net.bandwidth / io.bandwidth - _EPS))
+    ratio = _finite(net.bandwidth / io.bandwidth, "instance count",
+                   f"net '{net.source}' -> '{net.dest}'")
+    return int(math.ceil(ratio - _EPS))
 
 
 def build_matrices(system_names: set[str], nets: tuple[NetSpec, ...],
@@ -232,12 +244,17 @@ def power_pad_count(power_total: float, core_voltage: float,
     pad_radius = asm.bonding_pitch / 4.0
     per_pad = (core_voltage * asm.max_current_density
                * math.pi * pad_radius * pad_radius)
-    return 2 * int(math.ceil(power_total / per_pad))
+    n = _finite(power_total / per_pad if per_pad > 0.0 else math.inf,
+               "power pad count", context)
+    return 2 * int(math.ceil(n))
 
 
 def _band_area(side: float, width: float) -> float:
-    inner = max(0.0, side - 2.0 * width)
-    return side * side - inner * inner
+    """Area of the outer band of the given width on a square die. Written
+    as 4w(side - w), not side^2 - inner^2, which cancels on a large side."""
+    if side <= 2.0 * width:
+        return side * side
+    return 4.0 * width * (side - width)
 
 
 def _side_for_band(n_pads: int, width: float, pitch: float) -> float:
@@ -250,12 +267,12 @@ def _side_for_band(n_pads: int, width: float, pitch: float) -> float:
     return (need + 4.0 * width * width) / (4.0 * width)
 
 
-def _grow(side: float, target: float, pitch: float) -> float:
+def _grow(side: float, target: float, pitch: float, context: str) -> float:
     """Grow in whole bonding-pitch steps per side until side >= target."""
     if target <= side * (1.0 + _EPS):
         return side
-    steps = int(math.ceil((target - side) / pitch - _EPS))
-    return side + steps * pitch
+    steps = _finite((target - side) / pitch, "pad-driven die side", context)
+    return side + int(math.ceil(steps - _EPS)) * pitch
 
 
 @dataclass(frozen=True)
@@ -283,6 +300,8 @@ def place_pads(side0: float, signal_by_type: dict[str, int],
     and the running total must fit each type's own band.
     """
     pitch = asm.bonding_pitch
+    n_signal = sum(signal_by_type.values())
+    total = _finite(n_signal + n_power + n_test, "pad count", context)
     side = side0
     grown = False
     order = sorted((name for name, n in signal_by_type.items() if n > 0),
@@ -300,15 +319,15 @@ def place_pads(side0: float, signal_by_type: dict[str, int],
         if _band_area(side, width) + _EPS < need:
             if not allow_growth:
                 continue
-            side = _grow(side, _side_for_band(running, width, pitch), pitch)
+            side = _grow(side, _side_for_band(running, width, pitch), pitch,
+                         context)
             grown = True
-            while _band_area(side, width) + _EPS < need:
+            # _grow leaves the band short by rounding at most
+            if _band_area(side, width) + _EPS < need:
                 side += pitch
-    n_signal = sum(signal_by_type.values())
-    total = n_signal + n_power + n_test
     need = total * pitch * pitch
     if side * side + _EPS < need and allow_growth:
-        side = _grow(side, math.sqrt(need), pitch)
+        side = _grow(side, math.sqrt(need), pitch, context)
         grown = True
     return PadPlan(side=side, n_signal=n_signal, n_power=n_power,
                    n_test=n_test, grown=grown)
@@ -366,7 +385,7 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
     if chip.black_box_area is not None:
         area = chip.black_box_area
     else:
-        area = max(a_core + a_io, a_stack, a_pads)
+        area = _finite(max(a_core + a_io, a_stack, a_pads), "area", ctx)
     if area <= 0.0:
         raise ValidationError(
             "chip resolves to zero area (no core, stack, or pads)", ctx)
@@ -379,6 +398,9 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
                 f"child '{c.spec.name}' area {c.area:.6g} exceeds parent "
                 f"area {area:.6g}", ctx)
 
+    if children:
+        _finite(sum(c.n_bonded_pins for c in children), "bonded pin count",
+                ctx)
     own_pads_below = sum(own_cross.values()) + sum(external.values())
     return DerivedChip(
         spec=chip, children=children,

@@ -8,7 +8,9 @@ upward and discounts the assembly true yield, because an escape at one
 level only surfaces as a failure at the next.
 
 Impossible configurations (no dies fit the wafer, yield underflows to
-zero) produce infinite costs tagged per node, never exceptions.
+zero) produce infinite costs tagged per node, never exceptions. A die
+whose wafer figures cannot be computed at all (too small to pack, or an
+exposure count past float range) is a configuration error instead.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .derive import DerivedChip, DerivedSystem
+from .errors import ValidationError
 from .model import (AssemblyProcessDef, LayerDef, Library, TestProcessDef,
                     WaferProcessDef)
 from .wafer import dies_per_wafer, reticle_fit
@@ -53,8 +56,32 @@ def layer_cost(layer: LayerDef, area: float, dim_x: float, dim_y: float,
                                                fit.utilization)
 
 
+# Most dies one row or column may hold: smaller dies are refused rather
+# than packed for minutes. A 450 mm wafer at this limit has a 22.5 um
+# pitch; a cold grid packing there takes about half a second.
+MAX_DIES_ACROSS = 20_000
+
+
+def _check_die(chip: DerivedChip, wp: WaferProcessDef) -> None:
+    """Refuse a die whose wafer figures cannot be computed: too many dies
+    across the wafer to pack, or an exposure count past float range."""
+    across = 2.0 * wp.usable_radius / min(chip.dim_x + wp.scribe_x,
+                                          chip.dim_y + wp.scribe_y)
+    if not across <= MAX_DIES_ACROSS:
+        raise ValidationError(
+            f"{across:.3g} dies of {chip.dim_x:.6g} x {chip.dim_y:.6g} mm "
+            f"fit across waferprocess '{wp.name}', more than "
+            f"{MAX_DIES_ACROSS}", f"chip '{chip.spec.name}'")
+    field = wp.reticle_x * wp.reticle_y
+    if not (2.0 * chip.area / field < INF and field / chip.area < INF):
+        raise ValidationError(
+            f"exposure counts of a {chip.area:.6g} mm2 die overflow on "
+            f"waferprocess '{wp.name}'", f"chip '{chip.spec.name}'")
+
+
 def die_cost(chip: DerivedChip, library: Library) -> float:
     wp = library.wafer_processes[chip.spec.wafer_process]
+    _check_die(chip, wp)
     total = 0.0
     for layer_name in chip.spec.layers:
         total += layer_cost(library.layers[layer_name], chip.area,

@@ -10,6 +10,7 @@ for IO energy, defects/mm2 for defect densities.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -224,6 +225,8 @@ def validate_wafer_process(wp: WaferProcessDef) -> None:
            "scribe widths must be >= 0", ctx)
     _check(wp.reticle_x > 0.0 and wp.reticle_y > 0.0,
            "reticle dimensions must be > 0", ctx)
+    _check(0.0 < wp.reticle_x * wp.reticle_y < math.inf,
+           "reticle field area overflows", ctx)
     _check(wp.dicing in ("grid", "free"),
            f"dicing must be 'grid' or 'free', got '{wp.dicing}'", ctx)
     for rate_name in ("nre_fe_logic", "nre_fe_memory", "nre_fe_analog",

@@ -227,6 +227,18 @@ class TestPads:
         assert width == pytest.approx(0.95)
         assert _band_area(10.0, width) == pytest.approx(100.0 - 8.1 ** 2)
 
+    def test_band_area_does_not_cancel_on_a_large_side(self):
+        # side^2 - (side - 2w)^2 loses the low digits of the band here
+        side, width = 2.6e12, 0.95
+        assert _band_area(side, width) == 4.0 * width * (side - width)
+
+    def test_huge_pad_count_grows_without_creeping(self):
+        # with a cancelling band the growth loop crept one pitch at a time
+        plan = place_pads(1.0, {"io4": 10 ** 14}, 0, 0, ASM, tiny_library(),
+                          "x")
+        assert plan.grown
+        assert _band_area(plan.side, 0.95) >= 10 ** 14 * 0.01 * (1 - 1e-12)
+
     def test_test_io_count(self):
         tp = cc.TestProcessDef(name="t", cost_per_second=0.1, patterns=1,
                                scan_chain_length=1, clock_period=1e-9,
@@ -272,6 +284,54 @@ class TestPads:
         plan = place_pads(5.0, {"near": 600, "far": 10}, 0, 0, ASM, lib, "x")
         assert plan.grown
         assert _band_area(plan.side, 0.15) >= 600 * 0.01 - 1e-9
+
+
+class TestOverflowIsAConfigurationError:
+    """A derived power, pad count or area that overflows is reported as a
+    ValidationError naming the element, never reaches an int()."""
+
+    def replace_tile(self, system, **kw):
+        import dataclasses
+        tile = dataclasses.replace(system.root.children[0], **kw)
+        root = dataclasses.replace(system.root, children=(tile,))
+        return cc.validate_system(root, system.nets, system.library)
+
+    def test_power_pad_count(self):
+        with pytest.raises(cc.ValidationError,
+                           match="chip 'x': power pad count overflows"):
+            power_pad_count(1e308, 0.8, ASM, "chip 'x'")
+
+    def test_core_power(self, gp_system):
+        system = self.replace_tile(gp_system, core_power=1e308)
+        with pytest.raises(cc.ValidationError, match="chip 'tile'"):
+            derive(system)
+
+    def test_net_bandwidth(self, gp_system):
+        import dataclasses
+        nets = tuple(dataclasses.replace(n, bandwidth=1e308)
+                     for n in gp_system.nets)
+        system = cc.validate_system(gp_system.root, nets, gp_system.library)
+        with pytest.raises(cc.ValidationError,
+                           match="chip 'tile': area overflows"):
+            derive(system)
+
+    def test_instance_count(self):
+        import dataclasses
+        slow = dataclasses.replace(IO4, bandwidth=1e-10)
+        with pytest.raises(cc.ValidationError,
+                           match="net 'a' -> 'b': instance count overflows"):
+            net_instances(net("a", "b", bandwidth=1e308), slow)
+
+    def test_pad_count_past_float_range(self, gp_system):
+        import dataclasses
+        lib = gp_system.library
+        wide = dataclasses.replace(lib.ios["mesh_link"],
+                                   wires_per_instance=10 ** 307)
+        lib = dataclasses.replace(lib, ios={"mesh_link": wide})
+        system = cc.validate_system(gp_system.root, gp_system.nets, lib)
+        with pytest.raises(cc.ValidationError,
+                           match="chip 'tile': pad count overflows"):
+            derive(system)
 
 
 class TestDeriveTree:

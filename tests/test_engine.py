@@ -49,6 +49,41 @@ def report(chip, library, nets=()):
     return evaluate(derive(cc.validate_system(chip, nets, library)))
 
 
+class TestUncomputableDies:
+    """Dies whose wafer figures cannot be computed are configuration
+    errors naming the chip, not a hang or an overflow."""
+
+    def test_too_many_dies_across_the_wafer(self):
+        huge = dataclasses.replace(WAFER, wafer_diameter=1e20)
+        with pytest.raises(cc.ValidationError,
+                           match="chip 'd'.*fit across waferprocess 'w'"):
+            report(die(), lib(wafer=huge))
+
+    def test_exposure_count_past_float_range(self):
+        tiny = dataclasses.replace(WAFER, reticle_x=1e-300, reticle_y=1e-7)
+        with pytest.raises(cc.ValidationError,
+                           match="chip 'd': exposure counts"):
+            report(die(), lib(wafer=tiny))
+
+    def test_dies_per_exposure_past_float_range(self):
+        with pytest.raises(cc.ValidationError,
+                           match="chip 'd': exposure counts"):
+            report(die(black_box_area=1e-320), lib())
+
+    @pytest.mark.parametrize("across", [19_999, 20_001])
+    def test_limit_on_dies_across(self, across):
+        # free dicing, no scribe: 294 mm of usable diameter over the side
+        free = dataclasses.replace(WAFER, scribe_x=0.0, scribe_y=0.0,
+                                   dicing="free")
+        area = (294.0 / across) ** 2
+        chip = die(core=area, black_box_area=area)
+        if across <= 20_000:
+            assert not report(chip, lib(wafer=free)).infeasible
+        else:
+            with pytest.raises(cc.ValidationError, match="fit across"):
+                report(chip, lib(wafer=free))
+
+
 class TestDefectYield:
     def test_zero_density_is_perfect(self):
         for area in (1.0, 1e4):

@@ -79,6 +79,12 @@ class TestLibraryValidators:
             validate_wafer_process(dataclasses.replace(WAFER,
                                                        edge_exclusion=150.0))
 
+    @pytest.mark.parametrize("x, y", [(1e308, 26.0), (1e-200, 1e-200)])
+    def test_reticle_field_area_must_be_finite_and_positive(self, x, y):
+        with pytest.raises(cc.ValidationError, match="reticle field"):
+            validate_wafer_process(dataclasses.replace(WAFER, reticle_x=x,
+                                                       reticle_y=y))
+
     def test_wafer_dicing_values(self):
         with pytest.raises(cc.ValidationError, match="dicing"):
             validate_wafer_process(dataclasses.replace(WAFER, dicing="laser"))
