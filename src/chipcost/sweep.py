@@ -28,6 +28,12 @@ from .model import ChipSpec, Library, NetSpec, ValidatedSystem, validate_system
 from .report import SCHEMA_VERSION, format_value
 from .xmlio import _parse_xml, parse_number
 
+# Most points one sweep may hold, per range axis and over the whole
+# cartesian product; both are checked before any point is built.
+MAX_SWEEP_POINTS = 1_000_000
+# Most tiles one <split> count may ask for: each point builds them all.
+MAX_SPLIT_TILES = 16_384
+
 _LIB_KINDS = {
     "io": "ios",
     "layer": "layers",
@@ -95,11 +101,15 @@ def _parse_range(text: str, context: str = "sweep") -> tuple[float, ...]:
                          for p in parts)
     if step <= 0:
         raise ValidationError("range step must be > 0", context)
-    out = []
-    k = 0
     # slack keeps the stop endpoint inclusive under float accumulation,
     # for negative stops too
     limit = stop + abs(stop) * 1e-12 + 1e-15
+    if not (limit - start) / step < MAX_SWEEP_POINTS:
+        raise ValidationError(
+            f"range '{text}' has more than {MAX_SWEEP_POINTS} values",
+            context)
+    out = []
+    k = 0
     while True:
         v = start + k * step
         if v > limit:
@@ -120,6 +130,10 @@ def _parse_counts(text: str, context: str) -> tuple[int, ...]:
         if n < 1 or n != int(n) or math.isqrt(int(n)) ** 2 != n:
             raise ValidationError(
                 f"<split> counts must be perfect squares, got {v}", context)
+        if n > MAX_SPLIT_TILES:
+            raise ValidationError(
+                f"<split> count {v} is more than {MAX_SPLIT_TILES} tiles",
+                context)
         counts.append(int(n))
     if not counts:
         raise ValidationError("<split> needs counts", context)
@@ -361,6 +375,13 @@ def _template_area(root: ChipSpec, name: str) -> float:
 def run_sweep(base: ValidatedSystem, plan: SweepPlan,
               jobs: int = 1) -> list[tuple]:
     """All rows of the cartesian product, in declaration order."""
+    size = 1
+    for axis in plan.axes:
+        size *= len(axis.points)
+        if size > MAX_SWEEP_POINTS:
+            raise ValidationError(
+                f"more than {MAX_SWEEP_POINTS} points once axis "
+                f"'{axis.column}' joins the product", "sweep")
     points = list(itertools.product(*(axis.points for axis in plan.axes)))
     if jobs <= 1:
         return [_evaluate_point(base, plan, p) for p in points]

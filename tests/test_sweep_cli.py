@@ -379,6 +379,13 @@ class TestBadInputExits2:
          "system.chip[tile].core_area"),
         ('<param target="system.chip[tile].core_area" range="1:nan:1"/>',
          "nan"),
+        # size caps, checked before any point is built
+        ('<param target="system.chip[tile].core_area" range="0:1:1e-12"/>',
+         "system.chip[tile].core_area"),
+        (SPLIT.format("1,16900", "1024"), "16900"),
+        ('<param target="system.chip[tile].core_area" range="1:1001:1"/>'
+         '<param target="library.layer[cmos_3nm].defect_density"'
+         ' range="0:1:0.001"/>', "library.layer[cmos_3nm].defect_density"),
     ])
     def test_bad_sweep_file(self, tmp_path, body, named):
         self.assert_exits_2(self.run_cli(sweep_xml(tmp_path, body)), named)
