@@ -64,7 +64,7 @@ MAX_DIES_ACROSS = 20_000
 
 def _check_die(chip: DerivedChip, wp: WaferProcessDef) -> None:
     """Refuse a die whose wafer figures cannot be computed: too many dies
-    across the wafer to pack, or an exposure count past float range."""
+    across the wafer to pack, or exposure counts past float range."""
     across = 2.0 * wp.usable_radius / min(chip.dim_x + wp.scribe_x,
                                           chip.dim_y + wp.scribe_y)
     if not across <= MAX_DIES_ACROSS:
