@@ -1,0 +1,108 @@
+"""Golden sha256 digests of chipcost's byte-deterministic outputs.
+
+`compute()` rebuilds every output below and hashes it; `test_golden.py`
+compares the result with `digests.json`. The outputs covered:
+
+- `eval` JSON and CSV reports of each study under `configs/`;
+- the CSV of every sweep file shipped with a study, run on that study;
+- `serialize_library`, `serialize_system` and `serialize_netlist` of
+  each study as parsed;
+- one digest over the JSON and CSV reports of `gensys.make_system(0..999)`,
+  and one over the serialized library, system and netlist of the same
+  systems (every model field, at non-default values).
+
+A deliberate change of numbers or formats regenerates the file:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+and CHANGES.md says which digests moved and why.
+"""
+from __future__ import annotations
+
+import glob
+import hashlib
+import json
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+TESTS = os.path.dirname(HERE)
+CONFIGS = os.path.join(os.path.dirname(TESTS), "configs")
+DIGESTS = os.path.join(HERE, "digests.json")
+GENSYS_SEEDS = range(1000)
+
+if TESTS not in sys.path:
+    sys.path.insert(0, TESTS)
+
+import chipcost as cc  # noqa: E402
+from gensys import make_system  # noqa: E402
+
+
+def _sha(*texts: str) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode("utf-8"))
+    return h.hexdigest()
+
+
+def _serialized(system: cc.ValidatedSystem) -> tuple[str, str, str]:
+    return (cc.serialize_library(system.library),
+            cc.serialize_system(system.root),
+            cc.serialize_netlist(system.nets))
+
+
+def study_digests(study: str) -> dict[str, str]:
+    d = os.path.join(CONFIGS, study)
+    library = cc.parse_library(os.path.join(d, "library.xml"))
+    system = cc.parse_system(os.path.join(d, "system.xml"),
+                             os.path.join(d, "netlist.xml"), library)
+    report = cc.evaluate(cc.derive(system))
+    out = {
+        f"eval/{study}.json": _sha(cc.report_to_json(report)),
+        f"eval/{study}.csv": _sha(cc.report_to_csv(report)),
+    }
+    for kind, text in zip(("library", "system", "netlist"),
+                          _serialized(system)):
+        out[f"serialize/{study}/{kind}.xml"] = _sha(text)
+    for sweep_path in sorted(glob.glob(os.path.join(d, "*sweep*.xml"))):
+        plan = cc.parse_sweep(sweep_path)
+        csv = cc.sweep_to_csv(plan, cc.run_sweep(system, plan))
+        name = os.path.splitext(os.path.basename(sweep_path))[0]
+        out[f"sweep/{study}/{name}.csv"] = _sha(csv)
+    return out
+
+
+def gensys_digests() -> dict[str, str]:
+    reports = hashlib.sha256()
+    serialized = hashlib.sha256()
+    for seed in GENSYS_SEEDS:
+        system = make_system(seed)
+        report = cc.evaluate(cc.derive(system))
+        for text in (cc.report_to_json(report), cc.report_to_csv(report)):
+            reports.update(text.encode("utf-8"))
+        for text in _serialized(system):
+            serialized.update(text.encode("utf-8"))
+    span = f"{GENSYS_SEEDS.start}-{GENSYS_SEEDS.stop - 1}"
+    return {f"gensys/{span}/reports": reports.hexdigest(),
+            f"gensys/{span}/serialized": serialized.hexdigest()}
+
+
+def compute() -> dict[str, str]:
+    out = {}
+    for study in sorted(os.listdir(CONFIGS)):
+        out.update(study_digests(study))
+    out.update(gensys_digests())
+    return out
+
+
+def load() -> dict[str, str]:
+    with open(DIGESTS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+if __name__ == "__main__":
+    digests = compute()
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(digests, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(digests)} digests to {DIGESTS}")
