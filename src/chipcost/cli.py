@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p_sweep)
     p_sweep.add_argument("--sweep", required=True, help="sweep definition XML")
     p_sweep.add_argument("--jobs", type=_jobs, default=1,
-                         help="concurrent evaluations")
+                         help="accepted for compatibility; points run "
+                              "serially")
     p_sweep.set_defaults(fn=_cmd_sweep)
     return parser
 

@@ -2,7 +2,15 @@
 
 Everything here is a frozen dataclass. Parameter studies never mutate a
 model in place; they rebuild the changed pieces with dataclasses.replace,
-so concurrent evaluations can share inputs safely.
+so every sweep point starts from the same unchanged inputs.
+
+Each dataclass is also the one record of its XML element: a field is an
+attribute of the same name and type, and its default is the attribute's
+default (a field without one is a required attribute). Field metadata
+covers the exceptions: "attr" names an attribute spelled differently
+from the field, "unit" marks a defect density that accepts a *_unit
+attribute, and "sparse" marks an attribute written only when it differs
+from its default.
 
 Units: mm and mm2 for geometry, W for power, V for voltage, A/mm2 for
 current density, USD for cost, s for time, Gbit/s for bandwidth, pJ/bit
@@ -10,6 +18,8 @@ for IO energy, defects/mm2 for defect densities.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,12 +34,16 @@ class IODefinition:
 
     name: str
     tx_area: float            # mm2 per transmit instance
-    rx_area: float            # mm2 per receive instance
+    rx_area: float = field(default=None, kw_only=True)  # None: tx_area
     bandwidth: float          # Gbit/s per instance
     reach: float              # mm, max distance from die edge served
-    wires_per_instance: int
-    energy_per_bit: float     # pJ/bit
+    wires_per_instance: int = field(default=1, kw_only=True)
+    energy_per_bit: float = field(default=0.0, kw_only=True)  # pJ/bit
     bidirectional: bool = False
+
+    def __post_init__(self):
+        if self.rx_area is None:    # a receiver the size of the driver
+            object.__setattr__(self, "rx_area", self.tx_area)
 
 
 @dataclass(frozen=True)
@@ -38,11 +52,13 @@ class LayerDef:
 
     name: str
     cost_per_mm2: float
-    defect_density: float         # defects/mm2
+    defect_density: float = field(metadata={"unit": True})  # defects/mm2
     clustering_factor: float      # alpha of the negative binomial yield model
     critical_area_fraction: float
-    litho_fraction: float         # share of layer cost scaling with reticle use
-    mask_cost: float              # USD, one mask set for this layer
+    # share of layer cost scaling with reticle use
+    litho_fraction: float = field(default=0.0, kw_only=True)
+    # USD, one mask set for this layer
+    mask_cost: float = field(default=0.0, kw_only=True)
     stitch_yield: float = 1.0     # per reticle stitch, super-reticle dies only
 
 
@@ -80,19 +96,23 @@ class AssemblyProcessDef:
 
     name: str
     pick_place_time: float      # s per pick-and-place cycle
-    pick_place_group: int       # dies handled per cycle
+    # dies handled per cycle
+    pick_place_group: int = field(default=1, kw_only=True)
     pick_place_rate: float      # USD/s
     bond_time: float            # s per bonding cycle
-    bond_group: int
+    bond_group: int = field(default=1, kw_only=True)
     bond_rate: float            # USD/s
-    material_cost_per_mm2: float
+    material_cost_per_mm2: float = field(default=0.0, kw_only=True)
     die_separation: float       # mm of clearance around each placed die
-    edge_exclusion: float       # mm ring kept free around the stack region
+    # mm ring kept free around the stack region
+    edge_exclusion: float = field(default=0.0, kw_only=True)
     bonding_pitch: float        # mm between bonded pads
     max_current_density: float  # A/mm2 through a power pad
     bond_yield: float           # per bonded pad
     alignment_yield: float      # per placed die
-    dielectric_defect_density: float = 0.0  # defects/mm2 of bonded interface
+    # defects/mm2 of bonded interface
+    dielectric_defect_density: float = field(default=0.0,
+                                             metadata={"unit": True})
 
 
 @dataclass(frozen=True)
@@ -114,9 +134,9 @@ class TestProcessDef:
 class NetSpec:
     """A directed connection; bidirectional IO types carry traffic both ways."""
 
-    source: str
-    dest: str
-    io_type: str
+    source: str = field(metadata={"attr": "from"})
+    dest: str = field(metadata={"attr": "to"})
+    io_type: str = field(metadata={"attr": "io"})
     bandwidth: float | None = None   # Gbit/s requested; instances = ceil over IO
     count: int | None = None         # explicit instance count, bypasses the ceil
     utilization: float = 1.0
@@ -148,7 +168,8 @@ class ChipSpec:
     reticle_share: float = 1.0       # share of the mask set this chip pays for
     black_box_area: float | None = None
     black_box_power: float | None = None
-    buried: bool = False             # sunk into the parent, no stack footprint
+    # sunk into the parent, no stack footprint
+    buried: bool = field(default=False, metadata={"sparse": True})
     children: tuple[ChipSpec, ...] = field(default_factory=tuple)
 
     def walk(self):
@@ -175,6 +196,21 @@ class ValidatedSystem:
     root: ChipSpec
     nets: tuple[NetSpec, ...]
     library: Library
+
+
+# A field's value type by its annotation; an optional ("X | None") field
+# reports X, and a tuple is a comma-separated list. Anything else (the
+# nested chips) is not an XML attribute.
+_KINDS = {"str": str, "float": float, "int": int, "bool": bool,
+          "tuple[str, ...]": tuple, "tuple[int, ...]": tuple}
+
+
+@functools.cache
+def field_kinds(cls) -> dict[str, type | None]:
+    """Each field of a model class mapped to str, float, int, bool, tuple
+    (a comma-separated name list) or None (a nested record)."""
+    return {f.name: _KINDS.get(f.type.removesuffix(" | None"))
+            for f in dataclasses.fields(cls)}
 
 
 def _check(cond: bool, message: str, context: str):
@@ -269,17 +305,23 @@ def validate_test_process(tp: TestProcessDef) -> None:
     _check(tp.test_io_offset >= 0, "test_io_offset must be >= 0", ctx)
 
 
+# XML tag of each library definition -> (Library attribute, class,
+# validator); parsing, writing, validation and sweep targets read this.
+LIBRARY_KINDS = {
+    "io": ("ios", IODefinition, validate_io),
+    "layer": ("layers", LayerDef, validate_layer),
+    "waferprocess": ("wafer_processes", WaferProcessDef,
+                     validate_wafer_process),
+    "assembly": ("assembly_processes", AssemblyProcessDef,
+                 validate_assembly_process),
+    "test": ("test_processes", TestProcessDef, validate_test_process),
+}
+
+
 def validate_library(lib: Library) -> Library:
-    for io in lib.ios.values():
-        validate_io(io)
-    for layer in lib.layers.values():
-        validate_layer(layer)
-    for wp in lib.wafer_processes.values():
-        validate_wafer_process(wp)
-    for ap in lib.assembly_processes.values():
-        validate_assembly_process(ap)
-    for tp in lib.test_processes.values():
-        validate_test_process(tp)
+    for attr, _, validate in LIBRARY_KINDS.values():
+        for entry in getattr(lib, attr).values():
+            validate(entry)
     return lib
 
 

@@ -7,6 +7,7 @@ infinite costs are tagged rather than emitted as non-standard JSON.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -21,31 +22,17 @@ def _num(value: float):
     return value if math.isfinite(value) else None
 
 
+# NodeCosts fields as JSON keys: the unit goes into two of the names, and
+# children are listed flat in "nodes" instead of nested.
+_NODE_KEYS = tuple(
+    (f.name, {"area": "area_mm2", "power": "power_w"}.get(f.name, f.name),
+     f.type == "float")
+    for f in dataclasses.fields(NodeCosts) if f.name != "children")
+
+
 def _node_dict(n: NodeCosts) -> dict:
-    return {
-        "name": n.name,
-        "path": n.path,
-        "area_mm2": _num(n.area),
-        "power_w": _num(n.power),
-        "cost_die": _num(n.cost_die),
-        "cost_test_self": _num(n.cost_test_self),
-        "cost_test_assembly": _num(n.cost_test_assembly),
-        "cost_assembly": _num(n.cost_assembly),
-        "cost_re_self": _num(n.cost_re_self),
-        "cost_re": _num(n.cost_re),
-        "cost_nre_self": _num(n.cost_nre_self),
-        "cost_nre": _num(n.cost_nre),
-        "cost_scrap": _num(n.cost_scrap),
-        "yield_die": _num(n.yield_die),
-        "yield_tested_self": _num(n.yield_tested_self),
-        "quality_self": _num(n.quality_self),
-        "yield_assembly": _num(n.yield_assembly),
-        "yield_child_quality": _num(n.yield_child_quality),
-        "yield_tested_assembly": _num(n.yield_tested_assembly),
-        "yield_chip": _num(n.yield_chip),
-        "quality_shipped": _num(n.quality_shipped),
-        "infeasible": n.infeasible,
-    }
+    return {key: _num(getattr(n, name)) if is_float else getattr(n, name)
+            for name, key, is_float in _NODE_KEYS}
 
 
 def report_to_dict(report: CostReport) -> dict:

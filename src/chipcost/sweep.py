@@ -2,8 +2,7 @@
 
 A sweep is a cartesian product over axes in document order. Every point
 rebuilds its own copy of the library and system (the models are frozen
-dataclasses), so points evaluate concurrently without shared state and a
-parallel run is row-for-row identical to a serial one.
+dataclasses) from the unchanged base, and points run one after another.
 
 The split axis divides one template chip into an n = m x m mesh of equal
 chiplets. Every mesh link and every boundary stub carries the template's
@@ -18,15 +17,15 @@ import io
 import itertools
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .derive import derive
 from .engine import evaluate
 from .errors import ValidationError
-from .model import ChipSpec, Library, NetSpec, ValidatedSystem, validate_system
+from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
+                    ValidatedSystem, field_kinds, validate_system)
 from .report import SCHEMA_VERSION, format_value
-from .xmlio import _parse_xml, parse_number
+from .xmlio import _parse_fields, _parse_xml, parse_number, to_integer
 
 # Most points one sweep may hold, per range axis and over the whole
 # cartesian product; both are checked before any point is built.
@@ -34,16 +33,8 @@ MAX_SWEEP_POINTS = 1_000_000
 # Most tiles one <split> count may ask for: each point builds them all.
 MAX_SPLIT_TILES = 16_384
 
-_LIB_KINDS = {
-    "io": "ios",
-    "layer": "layers",
-    "waferprocess": "wafer_processes",
-    "assembly": "assembly_processes",
-    "test": "test_processes",
-}
-
 _TARGET_RE = re.compile(
-    r"^(library)\.(io|layer|waferprocess|assembly|test)\[([^\]]+)\]\.(\w+)$"
+    rf"^(library)\.({'|'.join(LIBRARY_KINDS)})\[([^\]]+)\]\.(\w+)$"
     r"|^(system)\.chip\[([^\]]+)\]\.(\w+)$")
 
 
@@ -63,12 +54,15 @@ class FieldAxis:
 
 @dataclass(frozen=True)
 class SplitAxis:
+    """A <split> element; its attributes are read like the model's."""
+
     chip: str
     counts: tuple[int, ...]
     side_bandwidth: float
-    io_type: str
-    external_prefix: str
-    utilization: float
+    io_type: str = dataclasses.field(metadata={"attr": "io"})
+    external_prefix: str = dataclasses.field(default="edge",
+                                             metadata={"attr": "external"})
+    utilization: float = 1.0
 
     @property
     def column(self) -> str:
@@ -163,20 +157,8 @@ def parse_sweep(path: str) -> SweepPlan:
             axes.append(FieldAxis(target=target, values=pts))
         elif elem.tag == "split":
             counts = _parse_counts(elem.get("counts", ""), path)
-            try:
-                axes.append(SplitAxis(
-                    chip=elem.attrib["chip"],
-                    counts=counts,
-                    side_bandwidth=parse_number(
-                        elem.attrib["side_bandwidth"],
-                        "<split> side_bandwidth", path),
-                    io_type=elem.attrib["io"],
-                    external_prefix=elem.get("external", "edge"),
-                    utilization=parse_number(
-                        elem.get("utilization", "1.0"),
-                        "<split> utilization", path)))
-            except KeyError as exc:
-                raise ValidationError(f"<split> missing attribute {exc}", path)
+            axes.append(_parse_fields(SplitAxis, elem, f"{path}: <split>",
+                                      counts=counts))
         else:
             raise ValidationError(f"unknown sweep element <{elem.tag}>", path)
     if not axes:
@@ -184,27 +166,28 @@ def parse_sweep(path: str) -> SweepPlan:
     return SweepPlan(axes=tuple(axes))
 
 
+def _replace_number(obj, field: str, value: float):
+    """obj with one numeric field set to value, coerced to the field's type."""
+    kinds = field_kinds(type(obj))
+    if field not in kinds:
+        raise ValidationError(f"'{obj.name}' has no field '{field}'",
+                              "sweep")
+    if kinds[field] is int:
+        value = to_integer(value, f"field '{field}'", "sweep")
+    elif kinds[field] is not float:
+        raise ValidationError(f"field '{field}' is not numeric", "sweep")
+    return dataclasses.replace(obj, **{field: value})
+
+
 def _replace_in_library(lib: Library, kind: str, name: str, field: str,
                         value: float) -> Library:
-    attr = _LIB_KINDS[kind]
+    attr = LIBRARY_KINDS[kind][0]
     table: dict = getattr(lib, attr)
     if name not in table:
         raise ValidationError(f"no {kind} named '{name}' in the library",
                               "sweep")
-    old = table[name]
-    if not hasattr(old, field):
-        raise ValidationError(f"{kind} '{name}' has no field '{field}'",
-                              "sweep")
-    current = getattr(old, field)
-    if isinstance(current, bool) or isinstance(current, str):
-        raise ValidationError(f"field '{field}' is not numeric", "sweep")
-    if isinstance(current, int):
-        if value != int(value):
-            raise ValidationError(
-                f"field '{field}' is integral, got {value}", "sweep")
-        value = int(value)
     new_table = dict(table)
-    new_table[name] = dataclasses.replace(old, **{field: value})
+    new_table[name] = _replace_number(table[name], field, value)
     return dataclasses.replace(lib, **{attr: new_table})
 
 
@@ -218,18 +201,7 @@ def _replace_in_tree(chip: ChipSpec, name: str, field: str,
         hits += n
     chip = dataclasses.replace(chip, children=tuple(children))
     if name == "*" or chip.name == name:
-        if not hasattr(chip, field):
-            raise ValidationError(f"chip has no field '{field}'", "sweep")
-        current = getattr(chip, field)
-        if isinstance(current, bool) or isinstance(current, str) \
-                or isinstance(current, tuple):
-            raise ValidationError(f"field '{field}' is not numeric", "sweep")
-        if isinstance(current, int):
-            if value != int(value):
-                raise ValidationError(
-                    f"field '{field}' is integral, got {value}", "sweep")
-            value = int(value)
-        chip = dataclasses.replace(chip, **{field: value})
+        chip = _replace_number(chip, field, value)
         hits += 1
     return chip, hits
 
@@ -374,7 +346,12 @@ def _template_area(root: ChipSpec, name: str) -> float:
 
 def run_sweep(base: ValidatedSystem, plan: SweepPlan,
               jobs: int = 1) -> list[tuple]:
-    """All rows of the cartesian product, in declaration order."""
+    """All rows of the cartesian product, in declaration order.
+
+    Points run serially whatever `jobs` asks for: a thread pool measured
+    slower than one loop on every benchmark workload, since the points
+    hold the interpreter lock. `jobs` is kept so callers need not change.
+    """
     size = 1
     for axis in plan.axes:
         size *= len(axis.points)
@@ -382,12 +359,8 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
             raise ValidationError(
                 f"more than {MAX_SWEEP_POINTS} points once axis "
                 f"'{axis.column}' joins the product", "sweep")
-    points = list(itertools.product(*(axis.points for axis in plan.axes)))
-    if jobs <= 1:
-        return [_evaluate_point(base, plan, p) for p in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda p: _evaluate_point(base, plan, p),
-                             points))
+    return [_evaluate_point(base, plan, p)
+            for p in itertools.product(*(axis.points for axis in plan.axes))]
 
 
 def sweep_to_csv(plan: SweepPlan, rows: list[tuple]) -> str:

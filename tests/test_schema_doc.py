@@ -1,0 +1,97 @@
+"""SCHEMA.md's attribute tables agree with the model dataclasses.
+
+Each table lists one element's attributes with their defaults; the
+dataclass behind the element is the record the parser and serializer
+read, so the two must name the same attributes, agree on which are
+required, and give the same defaults.
+"""
+import dataclasses
+import os
+import re
+
+import pytest
+
+from chipcost.model import (LIBRARY_KINDS, ChipSpec, NetSpec, field_kinds)
+
+SCHEMA = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                      "SCHEMA.md")
+SECTIONS = {tag: cls for tag, (_, cls, _) in LIBRARY_KINDS.items()}
+SECTIONS.update(chip=ChipSpec, net=NetSpec)
+
+
+def doc_tables() -> dict[type, dict[str, str]]:
+    """Attribute -> default cell of each element's table in SCHEMA.md."""
+    tables: dict[type, dict[str, str]] = {}
+    cls = None
+    default_col = None
+    with open(SCHEMA, encoding="utf-8") as fh:
+        for line in fh:
+            heading = re.match(r"#+ (.*)", line)
+            if heading:
+                title = heading.group(1)
+                tag = re.match(r"`<(\w+)>`", title)
+                cls = SECTIONS.get(
+                    tag.group(1) if tag else
+                    {"System": "chip", "Netlist": "net"}.get(title))
+                continue
+            if cls is None or not line.startswith("|"):
+                continue
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if cells[0] == "attribute":
+                default_col = cells.index("default")
+                continue
+            names = re.findall(r"`(\w+)`", cells[0])
+            if not names:
+                continue            # the |---| rule under the header
+            defaults = [d.strip() for d in cells[default_col].split(",")]
+            if len(defaults) != len(names):
+                defaults = defaults[:1] * len(names)
+            tables.setdefault(cls, {}).update(zip(names, defaults))
+    return tables
+
+
+TABLES = doc_tables()
+
+
+def model_attributes(cls) -> dict[str, dataclasses.Field]:
+    return {f.metadata.get("attr", f.name): f
+            for f in dataclasses.fields(cls)
+            if field_kinds(cls)[f.name] is not None}
+
+
+def matches(doc: str, f: dataclasses.Field) -> bool:
+    default = f.default
+    if default is dataclasses.MISSING:
+        return doc == "required"
+    if f.name == "rx_area":              # the receiver defaults to tx_area
+        return default is None and doc == "`tx_area`"
+    if default is None:
+        return doc in ("none", "-")
+    if isinstance(default, bool):
+        return doc == str(default).lower()
+    if isinstance(default, str):
+        return doc == f"`{default}`"
+    try:
+        return float(doc) == default
+    except ValueError:
+        return False
+
+
+def test_every_element_has_a_table():
+    assert set(TABLES) == set(SECTIONS.values())
+
+
+@pytest.mark.parametrize("cls", sorted(SECTIONS.values(),
+                                       key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_table_matches_dataclass(cls):
+    doc = dict(TABLES[cls])
+    model = model_attributes(cls)
+    for name in [n for n in doc if n.endswith("_unit")]:
+        base = model.get(name.removesuffix("_unit"))
+        assert base is not None and base.metadata.get("unit"), name
+        assert doc.pop(name) == "`per_mm2`"
+    assert sorted(doc) == sorted(model)
+    wrong = {name: doc[name] for name, f in model.items()
+             if not matches(doc[name], f)}
+    assert not wrong, f"defaults differ from {cls.__name__}: {wrong}"

@@ -379,6 +379,21 @@ class TestBadInputExits2:
          "system.chip[tile].core_area"),
         ('<param target="system.chip[tile].core_area" range="1:nan:1"/>',
          "nan"),
+        # integer fields hold only whole numbers a double holds exactly
+        ('<param target="library.test[tile_scan].scan_chains"'
+         ' values="1e308"/>', "field 'scan_chains'"),
+        ('<param target="system.chip[tile].quantity"'
+         ' values="9007199254740992"/>', "field 'quantity'"),
+        # <split> attributes are checked like the model's
+        ('<split chip="tile" counts="4" side_bandwidth="1024"'
+         ' io="mesh_link" utilisation="0.5"/>', "utilisation"),
+        ('<split chip="tile" counts="4" io="mesh_link"/>',
+         "missing attribute 'side_bandwidth'"),
+        # a property or method is not a field
+        ('<param target="library.waferprocess[hvm_300mm].usable_radius"'
+         ' values="100"/>', "no field 'usable_radius'"),
+        ('<param target="system.chip[tile].walk" values="1"/>',
+         "no field 'walk'"),
         # size caps, checked before any point is built
         ('<param target="system.chip[tile].core_area" range="0:1:1e-12"/>',
          "system.chip[tile].core_area"),

@@ -131,6 +131,22 @@ class TestLibraryParsing:
         with pytest.raises(cc.ValidationError, match="bandwidth.*finite"):
             parse_library(write(tmp_path, "lib.xml", text))
 
+    @pytest.mark.parametrize("raw", ["1e308", "-1e20",
+                                     "9007199254740992",
+                                     "9007199254740993"])
+    def test_integer_beyond_exact_doubles_rejected(self, tmp_path, raw):
+        text = LIB_XML.replace('patterns="1000"',
+                               f'patterns="1000" scan_chains="{raw}"')
+        with pytest.raises(cc.ValidationError,
+                           match="attribute 'scan_chains' must be an integer"):
+            parse_library(write(tmp_path, "lib.xml", text))
+
+    def test_largest_exact_integer_accepted(self, tmp_path):
+        text = LIB_XML.replace('patterns="1000"',
+                               'patterns="9007199254740991"')
+        lib = parse_library(write(tmp_path, "lib.xml", text))
+        assert lib.test_processes["t"].patterns == 2 ** 53 - 1
+
     def test_missing_path_is_config_error(self, tmp_path):
         with pytest.raises(cc.ConfigError):
             parse_library(str(tmp_path / "absent.xml"))
