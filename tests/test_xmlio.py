@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
 import chipcost as cc
+from gensys import make_system
 from chipcost.xmlio import (parse_library, parse_netlist, parse_system,
                             serialize_library, serialize_netlist,
                             serialize_system)
@@ -223,3 +226,26 @@ class TestRoundTrip:
         again = parse_library(write(tmp_path, "out.xml",
                                     serialize_library(lib)))
         assert again.test_processes["t"].clock_period == clock
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_systems_survive_serialize_parse(self, tmp_path, seed):
+        """Every field of every element, at generated non-default values."""
+        system = make_system(seed)
+
+        def bury_leaves(chip):
+            if not chip.children:
+                return dataclasses.replace(chip, buried=True,
+                                           black_box_area=3.5,
+                                           black_box_power=0.25)
+            return dataclasses.replace(chip, children=tuple(
+                bury_leaves(c) for c in chip.children))
+
+        root = bury_leaves(system.root)
+        lib = parse_library(write(tmp_path, "lib.xml",
+                                  serialize_library(system.library)))
+        again = parse_system(
+            write(tmp_path, "sys.xml", serialize_system(root)),
+            write(tmp_path, "net.xml", serialize_netlist(system.nets)), lib)
+        assert lib == system.library
+        assert again.root == root
+        assert again.nets == system.nets
