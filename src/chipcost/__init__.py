@@ -12,8 +12,7 @@ from .model import (AssemblyProcessDef, ChipSpec, IODefinition, LayerDef,
 from .report import breakdown_rows, report_to_csv, report_to_json
 from .sweep import (SweepPlan, parse_sweep, run_sweep, sweep_columns,
                     sweep_to_csv)
-from .wafer import (ReticleFit, dies_per_wafer, dies_per_wafer_free,
-                    dies_per_wafer_grid, free_packing, grid_packing,
+from .wafer import (ReticleFit, dies_per_wafer, free_packing, grid_packing,
                     reticle_fit)
 from .xmlio import (parse_library, parse_netlist, parse_system,
                     serialize_library, serialize_netlist, serialize_system)
@@ -27,8 +26,8 @@ __all__ = [
     "ReticleFit", "SweepPlan", "TestProcessDef",
     "ValidatedSystem", "ValidationError", "WaferProcessDef", "XmlError",
     "assembly_cost", "assembly_yield", "breakdown_rows", "defect_yield",
-    "derive", "dies_per_wafer", "dies_per_wafer_free", "dies_per_wafer_grid",
-    "evaluate", "free_packing", "grid_packing", "layer_cost", "nre_cost_self",
+    "derive", "dies_per_wafer", "evaluate", "free_packing", "grid_packing",
+    "layer_cost", "nre_cost_self",
     "parse_library", "parse_netlist", "parse_sweep", "parse_system",
     "quality", "report_to_csv", "report_to_json", "reticle_fit", "run_sweep",
     "serialize_library", "serialize_netlist", "serialize_system",

@@ -190,6 +190,11 @@ class NodeCosts:
     infeasible: bool
     children: tuple[NodeCosts, ...]
 
+    def walk(self):
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
 
 @dataclass(frozen=True)
 class CostReport:
@@ -203,15 +208,7 @@ class CostReport:
 
     @property
     def nodes(self) -> tuple[NodeCosts, ...]:
-        out = []
-
-        def visit(n):
-            out.append(n)
-            for c in n.children:
-                visit(c)
-
-        visit(self.root)
-        return tuple(out)
+        return tuple(self.root.walk())
 
 
 def _evaluate_node(chip: DerivedChip, library: Library,
@@ -291,19 +288,13 @@ def evaluate(ds: DerivedSystem) -> CostReport:
     test = 0.0
     scrap = 0.0
     bad_paths = []
-
-    def visit(n: NodeCosts):
-        nonlocal silicon, assembly, test, scrap
+    for n in root.walk():
         silicon += n.cost_die
         assembly += n.cost_assembly
         test += n.cost_test_self + n.cost_test_assembly
         scrap += n.cost_scrap
         if n.infeasible and not any(c.infeasible for c in n.children):
             bad_paths.append(n.path)
-        for c in n.children:
-            visit(c)
-
-    visit(root)
     total = root.cost_re + root.cost_nre
     breakdown = {
         "silicon": silicon,

@@ -7,10 +7,11 @@ so every sweep point starts from the same unchanged inputs.
 Each dataclass is also the one record of its XML element: a field is an
 attribute of the same name and type, and its default is the attribute's
 default (a field without one is a required attribute). Field metadata
-covers the exceptions: "attr" names an attribute spelled differently
-from the field, "unit" marks a defect density that accepts a *_unit
-attribute, and "sparse" marks an attribute written only when it differs
-from its default.
+covers the rest: "check" states the field's valid range (">= 0", "> 0",
+">= 1", "[0, 1]" or "(0, 1]"), which check_fields enforces; "attr"
+names an attribute spelled differently from the field, "unit" marks a
+defect density that accepts a *_unit attribute, and "sparse" marks an
+attribute written only when it differs from its default.
 
 Units: mm and mm2 for geometry, W for power, V for voltage, A/mm2 for
 current density, USD for cost, s for time, Gbit/s for bandwidth, pJ/bit
@@ -33,12 +34,16 @@ class IODefinition:
     """One IO cell type from the library."""
 
     name: str
-    tx_area: float            # mm2 per transmit instance
-    rx_area: float = field(default=None, kw_only=True)  # None: tx_area
-    bandwidth: float          # Gbit/s per instance
-    reach: float              # mm, max distance from die edge served
-    wires_per_instance: int = field(default=1, kw_only=True)
-    energy_per_bit: float = field(default=0.0, kw_only=True)  # pJ/bit
+    tx_area: float = field(metadata={"check": ">= 0"})  # mm2 per instance
+    rx_area: float = field(default=None, kw_only=True,  # None: tx_area
+                           metadata={"check": ">= 0"})
+    bandwidth: float = field(metadata={"check": "> 0"})  # Gbit/s per instance
+    # mm, max distance from die edge served
+    reach: float = field(metadata={"check": "> 0"})
+    wires_per_instance: int = field(default=1, kw_only=True,
+                                    metadata={"check": ">= 1"})
+    energy_per_bit: float = field(default=0.0, kw_only=True,  # pJ/bit
+                                  metadata={"check": ">= 0"})
     bidirectional: bool = False
 
     def __post_init__(self):
@@ -51,15 +56,20 @@ class LayerDef:
     """A processed silicon layer charged per mm2 of the chip it is part of."""
 
     name: str
-    cost_per_mm2: float
-    defect_density: float = field(metadata={"unit": True})  # defects/mm2
-    clustering_factor: float      # alpha of the negative binomial yield model
-    critical_area_fraction: float
+    cost_per_mm2: float = field(metadata={"check": ">= 0"})
+    defect_density: float = field(metadata={"unit": True,  # defects/mm2
+                                            "check": ">= 0"})
+    # alpha of the negative binomial yield model
+    clustering_factor: float = field(metadata={"check": "> 0"})
+    critical_area_fraction: float = field(metadata={"check": "[0, 1]"})
     # share of layer cost scaling with reticle use
-    litho_fraction: float = field(default=0.0, kw_only=True)
+    litho_fraction: float = field(default=0.0, kw_only=True,
+                                  metadata={"check": "[0, 1]"})
     # USD, one mask set for this layer
-    mask_cost: float = field(default=0.0, kw_only=True)
-    stitch_yield: float = 1.0     # per reticle stitch, super-reticle dies only
+    mask_cost: float = field(default=0.0, kw_only=True,
+                             metadata={"check": ">= 0"})
+    # per reticle stitch, super-reticle dies only
+    stitch_yield: float = field(default=1.0, metadata={"check": "(0, 1]"})
 
 
 @dataclass(frozen=True)
@@ -67,27 +77,25 @@ class WaferProcessDef:
     """Wafer geometry, dicing style, and per-mm2 design effort rates."""
 
     name: str
-    wafer_diameter: float     # mm
-    edge_exclusion: float     # mm
-    scribe_x: float           # mm added to the die in x
-    scribe_y: float
-    reticle_x: float          # mm
-    reticle_y: float
+    wafer_diameter: float = field(metadata={"check": "> 0"})  # mm
+    edge_exclusion: float = field(metadata={"check": ">= 0"})  # mm
+    # mm added to the die in x and y
+    scribe_x: float = field(metadata={"check": ">= 0"})
+    scribe_y: float = field(metadata={"check": ">= 0"})
+    reticle_x: float = field(metadata={"check": "> 0"})  # mm
+    reticle_y: float = field(metadata={"check": "> 0"})
     dicing: str = "grid"      # "grid" (shared cut lines) or "free"
-    nre_fe_logic: float = 0.0    # USD per mm2 of logic content, front end
-    nre_fe_memory: float = 0.0
-    nre_fe_analog: float = 0.0
-    nre_be_logic: float = 0.0    # back end rates
-    nre_be_memory: float = 0.0
-    nre_be_analog: float = 0.0
+    # USD per mm2 of logic, memory and analog content, front and back end
+    nre_fe_logic: float = field(default=0.0, metadata={"check": ">= 0"})
+    nre_fe_memory: float = field(default=0.0, metadata={"check": ">= 0"})
+    nre_fe_analog: float = field(default=0.0, metadata={"check": ">= 0"})
+    nre_be_logic: float = field(default=0.0, metadata={"check": ">= 0"})
+    nre_be_memory: float = field(default=0.0, metadata={"check": ">= 0"})
+    nre_be_analog: float = field(default=0.0, metadata={"check": ">= 0"})
 
     @property
     def usable_radius(self) -> float:
         return self.wafer_diameter / 2.0 - self.edge_exclusion
-
-    @property
-    def reticle_area(self) -> float:
-        return self.reticle_x * self.reticle_y
 
 
 @dataclass(frozen=True)
@@ -95,24 +103,33 @@ class AssemblyProcessDef:
     """Bonding children onto a chip: machine time, geometry, and yields."""
 
     name: str
-    pick_place_time: float      # s per pick-and-place cycle
+    # s per pick-and-place cycle
+    pick_place_time: float = field(metadata={"check": ">= 0"})
     # dies handled per cycle
-    pick_place_group: int = field(default=1, kw_only=True)
-    pick_place_rate: float      # USD/s
-    bond_time: float            # s per bonding cycle
-    bond_group: int = field(default=1, kw_only=True)
-    bond_rate: float            # USD/s
-    material_cost_per_mm2: float = field(default=0.0, kw_only=True)
-    die_separation: float       # mm of clearance around each placed die
+    pick_place_group: int = field(default=1, kw_only=True,
+                                  metadata={"check": ">= 1"})
+    pick_place_rate: float = field(metadata={"check": ">= 0"})  # USD/s
+    bond_time: float = field(metadata={"check": ">= 0"})  # s per bond cycle
+    bond_group: int = field(default=1, kw_only=True,
+                            metadata={"check": ">= 1"})
+    bond_rate: float = field(metadata={"check": ">= 0"})  # USD/s
+    material_cost_per_mm2: float = field(default=0.0, kw_only=True,
+                                         metadata={"check": ">= 0"})
+    # mm of clearance around each placed die
+    die_separation: float = field(metadata={"check": ">= 0"})
     # mm ring kept free around the stack region
-    edge_exclusion: float = field(default=0.0, kw_only=True)
-    bonding_pitch: float        # mm between bonded pads
-    max_current_density: float  # A/mm2 through a power pad
-    bond_yield: float           # per bonded pad
-    alignment_yield: float      # per placed die
+    edge_exclusion: float = field(default=0.0, kw_only=True,
+                                  metadata={"check": ">= 0"})
+    # mm between bonded pads
+    bonding_pitch: float = field(metadata={"check": "> 0"})
+    # A/mm2 through a power pad
+    max_current_density: float = field(metadata={"check": "> 0"})
+    bond_yield: float = field(metadata={"check": "(0, 1]"})  # per bonded pad
+    # per placed die
+    alignment_yield: float = field(metadata={"check": "(0, 1]"})
     # defects/mm2 of bonded interface
-    dielectric_defect_density: float = field(default=0.0,
-                                             metadata={"unit": True})
+    dielectric_defect_density: float = field(
+        default=0.0, metadata={"unit": True, "check": ">= 0"})
 
 
 @dataclass(frozen=True)
@@ -120,14 +137,15 @@ class TestProcessDef:
     """Scan test economics for one test insertion."""
 
     name: str
-    cost_per_second: float
-    patterns: int
-    scan_chain_length: int
-    clock_period: float       # s
-    fault_coverage: float     # share of true defects the insertion catches
-    scan_chains: int = 0
-    ios_per_scan_chain: int = 0
-    test_io_offset: int = 0
+    cost_per_second: float = field(metadata={"check": ">= 0"})
+    patterns: int = field(metadata={"check": ">= 0"})
+    scan_chain_length: int = field(metadata={"check": ">= 0"})
+    clock_period: float = field(metadata={"check": ">= 0"})  # s
+    # share of true defects the insertion catches
+    fault_coverage: float = field(metadata={"check": "[0, 1]"})
+    scan_chains: int = field(default=0, metadata={"check": ">= 0"})
+    ios_per_scan_chain: int = field(default=0, metadata={"check": ">= 0"})
+    test_io_offset: int = field(default=0, metadata={"check": ">= 0"})
 
 
 @dataclass(frozen=True)
@@ -137,9 +155,11 @@ class NetSpec:
     source: str = field(metadata={"attr": "from"})
     dest: str = field(metadata={"attr": "to"})
     io_type: str = field(metadata={"attr": "io"})
-    bandwidth: float | None = None   # Gbit/s requested; instances = ceil over IO
-    count: int | None = None         # explicit instance count, bypasses the ceil
-    utilization: float = 1.0
+    # Gbit/s requested; instances = ceil over IO
+    bandwidth: float | None = field(default=None, metadata={"check": "> 0"})
+    # explicit instance count, bypasses the ceil
+    count: int | None = field(default=None, metadata={"check": ">= 1"})
+    utilization: float = field(default=1.0, metadata={"check": "[0, 1]"})
 
 
 @dataclass(frozen=True)
@@ -153,21 +173,25 @@ class ChipSpec:
     """
 
     name: str
-    core_area: float
-    core_power: float
-    core_voltage: float
-    quantity: int                    # units manufactured, amortizes NRE
+    core_area: float = field(metadata={"check": ">= 0"})
+    core_power: float = field(metadata={"check": ">= 0"})
+    core_voltage: float = field(metadata={"check": ">= 0"})
+    # units manufactured, amortizes NRE
+    quantity: int = field(metadata={"check": ">= 1"})
     layers: tuple[str, ...]
     wafer_process: str
     test_self: str
     assembly_process: str | None = None
     test_assembly: str | None = None
-    logic_fraction: float = 1.0
-    memory_fraction: float = 0.0
-    analog_fraction: float = 0.0
-    reticle_share: float = 1.0       # share of the mask set this chip pays for
-    black_box_area: float | None = None
-    black_box_power: float | None = None
+    logic_fraction: float = field(default=1.0, metadata={"check": "[0, 1]"})
+    memory_fraction: float = field(default=0.0, metadata={"check": "[0, 1]"})
+    analog_fraction: float = field(default=0.0, metadata={"check": "[0, 1]"})
+    # share of the mask set this chip pays for
+    reticle_share: float = field(default=1.0, metadata={"check": "(0, 1]"})
+    black_box_area: float | None = field(default=None,
+                                         metadata={"check": "> 0"})
+    black_box_power: float | None = field(default=None,
+                                          metadata={"check": ">= 0"})
     # sunk into the parent, no stack footprint
     buried: bool = field(default=False, metadata={"sparse": True})
     children: tuple[ChipSpec, ...] = field(default_factory=tuple)
@@ -218,119 +242,71 @@ def _check(cond: bool, message: str, context: str):
         raise ValidationError(message, context)
 
 
-def _check_unit_interval(value: float, name: str, context: str,
-                         open_low: bool = False):
-    lo_ok = value > 0.0 if open_low else value >= 0.0
-    _check(lo_ok and value <= 1.0,
-           f"{name} must be in {'(' if open_low else '['}0, 1], got {value}",
-           context)
+# The range rules a field's "check" metadata may name, written so that
+# NaN fails each of them.
+_RULES = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0,
+          ">= 1": lambda v: v >= 1, "[0, 1]": lambda v: 0 <= v <= 1,
+          "(0, 1]": lambda v: 0 < v <= 1}
 
 
-def validate_io(io: IODefinition) -> None:
-    ctx = f"io '{io.name}'"
-    _check(io.tx_area >= 0.0 and io.rx_area >= 0.0,
-           "tx_area and rx_area must be >= 0", ctx)
-    _check(io.bandwidth > 0.0, "bandwidth must be > 0", ctx)
-    _check(io.reach > 0.0, "reach must be > 0", ctx)
-    _check(io.wires_per_instance >= 1, "wires_per_instance must be >= 1", ctx)
-    _check(io.energy_per_bit >= 0.0, "energy_per_bit must be >= 0", ctx)
+@functools.cache
+def _field_checks(cls) -> tuple:
+    """(field, rule, predicate) for each field of cls that declares one."""
+    return tuple((f.name, f.metadata["check"], _RULES[f.metadata["check"]])
+                 for f in dataclasses.fields(cls) if "check" in f.metadata)
+
+
+def check_fields(obj, context: str) -> None:
+    """Refuse the first field of obj outside its declared range; an
+    absent optional value (None) passes."""
+    for name, rule, ok in _field_checks(type(obj)):
+        value = getattr(obj, name)
+        if value is not None and not ok(value):
+            raise ValidationError(f"{name} must be {rule}, got {value}",
+                                  context)
+
+
+def _check_io(io: IODefinition, ctx: str) -> None:
     if io.bidirectional:
         _check(io.tx_area == io.rx_area,
                "bidirectional IO requires tx_area == rx_area", ctx)
 
 
-def validate_layer(layer: LayerDef) -> None:
-    ctx = f"layer '{layer.name}'"
-    _check(layer.cost_per_mm2 >= 0.0, "cost_per_mm2 must be >= 0", ctx)
-    _check(layer.defect_density >= 0.0, "defect_density must be >= 0", ctx)
-    _check(layer.clustering_factor > 0.0, "clustering_factor must be > 0", ctx)
-    _check_unit_interval(layer.critical_area_fraction,
-                         "critical_area_fraction", ctx)
-    _check_unit_interval(layer.litho_fraction, "litho_fraction", ctx)
-    _check(layer.mask_cost >= 0.0, "mask_cost must be >= 0", ctx)
-    _check_unit_interval(layer.stitch_yield, "stitch_yield", ctx, open_low=True)
-
-
-def validate_wafer_process(wp: WaferProcessDef) -> None:
-    ctx = f"waferprocess '{wp.name}'"
-    _check(wp.wafer_diameter > 0.0, "wafer_diameter must be > 0", ctx)
-    _check(wp.edge_exclusion >= 0.0, "edge_exclusion must be >= 0", ctx)
+def _check_wafer_process(wp: WaferProcessDef, ctx: str) -> None:
     _check(wp.usable_radius > 0.0,
            "edge_exclusion consumes the whole wafer", ctx)
-    _check(wp.scribe_x >= 0.0 and wp.scribe_y >= 0.0,
-           "scribe widths must be >= 0", ctx)
-    _check(wp.reticle_x > 0.0 and wp.reticle_y > 0.0,
-           "reticle dimensions must be > 0", ctx)
     _check(0.0 < wp.reticle_x * wp.reticle_y < math.inf,
            "reticle field area overflows", ctx)
     _check(wp.dicing in ("grid", "free"),
            f"dicing must be 'grid' or 'free', got '{wp.dicing}'", ctx)
-    for rate_name in ("nre_fe_logic", "nre_fe_memory", "nre_fe_analog",
-                      "nre_be_logic", "nre_be_memory", "nre_be_analog"):
-        _check(getattr(wp, rate_name) >= 0.0,
-               f"{rate_name} must be >= 0", ctx)
-
-
-def validate_assembly_process(ap: AssemblyProcessDef) -> None:
-    ctx = f"assembly '{ap.name}'"
-    _check(ap.pick_place_time >= 0.0 and ap.bond_time >= 0.0,
-           "cycle times must be >= 0", ctx)
-    _check(ap.pick_place_group >= 1 and ap.bond_group >= 1,
-           "group sizes must be >= 1", ctx)
-    _check(ap.pick_place_rate >= 0.0 and ap.bond_rate >= 0.0,
-           "machine rates must be >= 0", ctx)
-    _check(ap.material_cost_per_mm2 >= 0.0,
-           "material_cost_per_mm2 must be >= 0", ctx)
-    _check(ap.die_separation >= 0.0, "die_separation must be >= 0", ctx)
-    _check(ap.edge_exclusion >= 0.0, "edge_exclusion must be >= 0", ctx)
-    _check(ap.bonding_pitch > 0.0, "bonding_pitch must be > 0", ctx)
-    _check(ap.max_current_density > 0.0,
-           "max_current_density must be > 0", ctx)
-    _check_unit_interval(ap.bond_yield, "bond_yield", ctx, open_low=True)
-    _check_unit_interval(ap.alignment_yield, "alignment_yield", ctx,
-                         open_low=True)
-    _check(ap.dielectric_defect_density >= 0.0,
-           "dielectric_defect_density must be >= 0", ctx)
-
-
-def validate_test_process(tp: TestProcessDef) -> None:
-    ctx = f"test '{tp.name}'"
-    _check(tp.cost_per_second >= 0.0, "cost_per_second must be >= 0", ctx)
-    _check(tp.patterns >= 0, "patterns must be >= 0", ctx)
-    _check(tp.scan_chain_length >= 0, "scan_chain_length must be >= 0", ctx)
-    _check(tp.clock_period >= 0.0, "clock_period must be >= 0", ctx)
-    _check_unit_interval(tp.fault_coverage, "fault_coverage", ctx)
-    _check(tp.scan_chains >= 0, "scan_chains must be >= 0", ctx)
-    _check(tp.ios_per_scan_chain >= 0, "ios_per_scan_chain must be >= 0", ctx)
-    _check(tp.test_io_offset >= 0, "test_io_offset must be >= 0", ctx)
 
 
 # XML tag of each library definition -> (Library attribute, class,
-# validator); parsing, writing, validation and sweep targets read this.
+# cross-field check or None); parsing, writing, validation and sweep
+# targets read this.
 LIBRARY_KINDS = {
-    "io": ("ios", IODefinition, validate_io),
-    "layer": ("layers", LayerDef, validate_layer),
+    "io": ("ios", IODefinition, _check_io),
+    "layer": ("layers", LayerDef, None),
     "waferprocess": ("wafer_processes", WaferProcessDef,
-                     validate_wafer_process),
-    "assembly": ("assembly_processes", AssemblyProcessDef,
-                 validate_assembly_process),
-    "test": ("test_processes", TestProcessDef, validate_test_process),
+                     _check_wafer_process),
+    "assembly": ("assembly_processes", AssemblyProcessDef, None),
+    "test": ("test_processes", TestProcessDef, None),
 }
 
 
 def validate_library(lib: Library) -> Library:
-    for attr, _, validate in LIBRARY_KINDS.values():
+    for tag, (attr, _, check) in LIBRARY_KINDS.items():
         for entry in getattr(lib, attr).values():
-            validate(entry)
+            ctx = f"{tag} '{entry.name}'"
+            check_fields(entry, ctx)
+            if check is not None:
+                check(entry, ctx)
     return lib
 
 
 def _validate_chip(chip: ChipSpec, lib: Library, is_root: bool) -> None:
     ctx = f"chip '{chip.name}'"
-    _check(chip.core_area >= 0.0, "core_area must be >= 0", ctx)
-    _check(chip.core_power >= 0.0, "core_power must be >= 0", ctx)
-    _check(chip.core_voltage >= 0.0, "core_voltage must be >= 0", ctx)
-    _check(chip.quantity >= 1, "quantity must be >= 1", ctx)
+    check_fields(chip, ctx)
     _check(len(chip.layers) >= 1, "at least one layer is required", ctx)
     for layer_name in chip.layers:
         _check(layer_name in lib.layers,
@@ -339,18 +315,9 @@ def _validate_chip(chip: ChipSpec, lib: Library, is_root: bool) -> None:
            f"unknown wafer process '{chip.wafer_process}'", ctx)
     _check(chip.test_self in lib.test_processes,
            f"unknown test process '{chip.test_self}'", ctx)
-    for frac_name in ("logic_fraction", "memory_fraction", "analog_fraction"):
-        _check_unit_interval(getattr(chip, frac_name), frac_name, ctx)
     frac_sum = chip.logic_fraction + chip.memory_fraction + chip.analog_fraction
     _check(abs(frac_sum - 1.0) <= FRACTION_TOL,
            f"content fractions must sum to 1, got {frac_sum}", ctx)
-    _check_unit_interval(chip.reticle_share, "reticle_share", ctx,
-                         open_low=True)
-    if chip.black_box_area is not None:
-        _check(chip.black_box_area > 0.0, "black_box_area must be > 0", ctx)
-    if chip.black_box_power is not None:
-        _check(chip.black_box_power >= 0.0,
-               "black_box_power must be >= 0", ctx)
     needs_assembly = bool(chip.children) or is_root
     if needs_assembly:
         _check(chip.assembly_process is not None,
@@ -392,11 +359,7 @@ def validate_system(root: ChipSpec, nets: tuple[NetSpec, ...],
                f"unknown io type '{net.io_type}'", ctx)
         _check((net.bandwidth is None) != (net.count is None),
                "exactly one of bandwidth or count is required", ctx)
-        if net.bandwidth is not None:
-            _check(net.bandwidth > 0.0, "bandwidth must be > 0", ctx)
-        if net.count is not None:
-            _check(net.count >= 1, "count must be >= 1", ctx)
-        _check_unit_interval(net.utilization, "utilization", ctx)
+        check_fields(net, ctx)
         _check(net.source in seen or net.dest in seen,
                "neither endpoint names a chip in the tree", ctx)
 

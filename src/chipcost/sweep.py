@@ -25,7 +25,8 @@ from .errors import ValidationError
 from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
                     ValidatedSystem, field_kinds, validate_system)
 from .report import SCHEMA_VERSION, format_value
-from .xmlio import _parse_fields, _parse_xml, parse_number, to_integer
+from .xmlio import (_Attrs, _parse_fields, _parse_xml, parse_number,
+                    to_integer)
 
 # Most points one sweep may hold, per range axis and over the whole
 # cartesian product; both are checked before any point is built.
@@ -138,20 +139,21 @@ def parse_sweep(path: str) -> SweepPlan:
     root = _parse_xml(path)
     if root.tag != "sweep":
         raise ValidationError(f"expected <sweep> root, got <{root.tag}>", path)
+    _Attrs(root, f"{path}: <sweep>").finish()
     axes: list[FieldAxis | SplitAxis] = []
     for elem in root:
         if elem.tag == "param":
-            target = elem.get("target")
-            if not target:
-                raise ValidationError("<param> needs a target", path)
+            ctx = f"{path}: <param {elem.get('target', '?')}>"
+            a = _Attrs(elem, ctx)
+            target = a.text("target", True)
+            values = a.text("values", False)
+            range_ = a.text("range", False)
+            a.finish()
             if not _TARGET_RE.match(target):
-                raise ValidationError(f"bad target '{target}'", path)
-            values = elem.get("values")
-            range_ = elem.get("range")
+                raise ValidationError(f"bad target '{target}'", ctx)
             if (values is None) == (range_ is None):
                 raise ValidationError(
-                    "<param> needs exactly one of values or range", path)
-            ctx = f"{path}: <param {target}>"
+                    "<param> needs exactly one of values or range", ctx)
             pts = (_parse_values(values, ctx) if values is not None
                    else _parse_range(range_, ctx))
             axes.append(FieldAxis(target=target, values=pts))
@@ -316,9 +318,12 @@ def _evaluate_point(base: ValidatedSystem, plan: SweepPlan,
             lib, root, nets = apply_field(lib, root, nets, axis.target, value)
             cells.append(value)
         else:
+            unsplit = root
             lib, root, nets = apply_split(lib, root, nets, axis, value)
+            area = next(c.core_area for c in unsplit.walk()
+                        if c.name == axis.chip)
             cells.append(value)
-            cells.append(_template_area(base.root, axis.chip) / value)
+            cells.append(area / value)
     system = validate_system(root, nets, lib)
     report = evaluate(derive(system))
     cells.extend([
@@ -335,13 +340,6 @@ def _evaluate_point(base: ValidatedSystem, plan: SweepPlan,
         report.infeasible,
     ])
     return tuple(cells)
-
-
-def _template_area(root: ChipSpec, name: str) -> float:
-    for c in root.walk():
-        if c.name == name:
-            return c.core_area
-    raise ValidationError(f"no chip named '{name}'", "sweep")
 
 
 def run_sweep(base: ValidatedSystem, plan: SweepPlan,

@@ -162,11 +162,6 @@ def free_packing(die_x: float, die_y: float, wafer_diameter: float,
     return max(2 * stack(0.0), centered)
 
 
-# the packers return the count itself; these names predate that
-dies_per_wafer_grid = grid_packing
-dies_per_wafer_free = free_packing
-
-
 def dies_per_wafer(wp: WaferProcessDef, die_x: float, die_y: float) -> int:
     """Dispatch on the process dicing style."""
     fn = grid_packing if wp.dicing == "grid" else free_packing

@@ -56,12 +56,10 @@ def test_die_packing_matches_exhaustive_oracle():
         die_y = rng.uniform(2.0, 40.0)
         scribe = rng.uniform(0.05, 0.3)
         excl = rng.uniform(1.0, 5.0)
-        grid = cc.dies_per_wafer_grid(die_x, die_y, 300.0, excl,
-                                      scribe, scribe)
+        grid = cc.grid_packing(die_x, die_y, 300.0, excl, scribe, scribe)
         assert grid == grid_family_oracle(die_x, die_y, 300.0, excl,
                                           scribe, scribe)
-        free = cc.dies_per_wafer_free(die_x, die_y, 300.0, excl,
-                                      scribe, scribe)
+        free = cc.free_packing(die_x, die_y, 300.0, excl, scribe, scribe)
         assert free >= grid
     assert time.perf_counter() - t0 < 30.0
 

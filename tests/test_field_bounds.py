@@ -7,6 +7,7 @@ hand, apart from the model, so a bound dropped from the model shows up
 here as a case that validates.
 """
 import dataclasses
+import math
 import re
 
 import pytest
@@ -77,8 +78,10 @@ CASES = [
     ("net", "0", "utilization", "[0, 1]", 1 + 1e-9),
 ]
 
-# Fields whose bound shares one message with a sibling field; the
-# message names the pair by this phrase.
+# Phrases by which a message covering two fields may name the pair.
+# test_value_outside_range_is_refused accepts them so that it also holds
+# for a model whose checks share one message between sibling fields;
+# test_message_states_field_rule_and_value requires the exact field.
 SHARED = {"pick_place_time": "cycle times", "bond_time": "cycle times",
           "pick_place_group": "group sizes", "bond_group": "group sizes",
           "pick_place_rate": "machine rates", "bond_rate": "machine rates",
@@ -134,3 +137,20 @@ def test_value_outside_range_is_refused(gp_system, kind, name, field, rule,
     assert re.search(rf"\b{field}\b|{SHARED.get(field, '$^')}", message), \
         message
 
+
+
+@pytest.mark.parametrize("kind, name, field, rule, value", CASES,
+                         ids=[f"{k}.{f}" for k, _, f, _, _ in CASES])
+def test_message_states_field_rule_and_value(gp_system, kind, name, field,
+                                             rule, value):
+    with pytest.raises(cc.ValidationError) as err:
+        cc.validate_system(*with_value(gp_system, kind, name, field, value))
+    assert str(err.value).endswith(f": {field} must be {rule}, got {value}")
+
+
+@pytest.mark.parametrize("kind, name, field, rule, value", CASES,
+                         ids=[f"{k}.{f}" for k, _, f, _, _ in CASES])
+def test_nan_is_refused(gp_system, kind, name, field, rule, value):
+    with pytest.raises(cc.ValidationError, match=rf"{field} must be"):
+        cc.validate_system(*with_value(gp_system, kind, name, field,
+                                       math.nan))

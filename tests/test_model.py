@@ -3,9 +3,7 @@ import dataclasses
 import pytest
 
 import chipcost as cc
-from chipcost.model import (validate_assembly_process, validate_io,
-                            validate_layer, validate_library,
-                            validate_test_process, validate_wafer_process)
+from chipcost.model import LIBRARY_KINDS, validate_library
 
 IO = cc.IODefinition(name="io", tx_area=0.1, rx_area=0.2, bandwidth=8.0,
                      reach=1.0, wires_per_instance=4, energy_per_bit=0.5)
@@ -34,6 +32,15 @@ def lib():
                       test_processes={"t": TEST})
 
 
+def one(entry):
+    """A Library holding only entry, in its kind's table."""
+    tables = {attr: {} for attr, _, _ in LIBRARY_KINDS.values()}
+    attr = next(attr for attr, cls, _ in LIBRARY_KINDS.values()
+                if isinstance(entry, cls))
+    tables[attr][entry.name] = entry
+    return cc.Library(**tables)
+
+
 def chip(**kw):
     base = dict(name="die", core_area=10.0, core_power=1.0, core_voltage=1.0,
                 quantity=1000, layers=("m",), wafer_process="w",
@@ -50,59 +57,62 @@ def test_valid_system_passes():
 class TestLibraryValidators:
     def test_bidirectional_io_needs_symmetric_areas(self):
         with pytest.raises(cc.ValidationError, match="tx_area == rx_area"):
-            validate_io(dataclasses.replace(IO, bidirectional=True))
-        validate_io(dataclasses.replace(IO, rx_area=0.1, bidirectional=True))
+            validate_library(one(dataclasses.replace(IO, bidirectional=True)))
+        validate_library(one(dataclasses.replace(IO, rx_area=0.1,
+                                                 bidirectional=True)))
 
     def test_io_bandwidth_positive(self):
         with pytest.raises(cc.ValidationError, match="bandwidth"):
-            validate_io(dataclasses.replace(IO, bandwidth=0.0))
+            validate_library(one(dataclasses.replace(IO, bandwidth=0.0)))
 
     def test_io_reach_positive(self):
         with pytest.raises(cc.ValidationError, match="reach"):
-            validate_io(dataclasses.replace(IO, reach=0.0))
+            validate_library(one(dataclasses.replace(IO, reach=0.0)))
 
     def test_layer_clustering_positive(self):
         with pytest.raises(cc.ValidationError, match="clustering_factor"):
-            validate_layer(dataclasses.replace(LAYER, clustering_factor=0.0))
+            validate_library(one(dataclasses.replace(
+                LAYER, clustering_factor=0.0)))
 
     def test_layer_critical_area_fraction_bounded(self):
         with pytest.raises(cc.ValidationError, match="critical_area_fraction"):
-            validate_layer(dataclasses.replace(LAYER,
-                                               critical_area_fraction=1.5))
+            validate_library(one(dataclasses.replace(
+                LAYER, critical_area_fraction=1.5)))
 
     def test_layer_stitch_yield_open_at_zero(self):
         with pytest.raises(cc.ValidationError, match="stitch_yield"):
-            validate_layer(dataclasses.replace(LAYER, stitch_yield=0.0))
+            validate_library(one(dataclasses.replace(LAYER,
+                                                     stitch_yield=0.0)))
 
     def test_wafer_exclusion_must_leave_usable_area(self):
         with pytest.raises(cc.ValidationError, match="whole wafer"):
-            validate_wafer_process(dataclasses.replace(WAFER,
-                                                       edge_exclusion=150.0))
+            validate_library(one(dataclasses.replace(WAFER,
+                                                     edge_exclusion=150.0)))
 
     @pytest.mark.parametrize("x, y", [(1e308, 26.0), (1e-200, 1e-200)])
     def test_reticle_field_area_must_be_finite_and_positive(self, x, y):
         with pytest.raises(cc.ValidationError, match="reticle field"):
-            validate_wafer_process(dataclasses.replace(WAFER, reticle_x=x,
-                                                       reticle_y=y))
+            validate_library(one(dataclasses.replace(WAFER, reticle_x=x,
+                                                     reticle_y=y)))
 
     def test_wafer_dicing_values(self):
         with pytest.raises(cc.ValidationError, match="dicing"):
-            validate_wafer_process(dataclasses.replace(WAFER, dicing="laser"))
-        validate_wafer_process(dataclasses.replace(WAFER, dicing="free"))
+            validate_library(one(dataclasses.replace(WAFER, dicing="laser")))
+        validate_library(one(dataclasses.replace(WAFER, dicing="free")))
 
     def test_assembly_groups_at_least_one(self):
         with pytest.raises(cc.ValidationError, match="group"):
-            validate_assembly_process(dataclasses.replace(ASM, bond_group=0))
+            validate_library(one(dataclasses.replace(ASM, bond_group=0)))
 
     def test_assembly_bonding_pitch_positive(self):
         with pytest.raises(cc.ValidationError, match="bonding_pitch"):
-            validate_assembly_process(dataclasses.replace(ASM,
-                                                          bonding_pitch=0.0))
+            validate_library(one(dataclasses.replace(ASM,
+                                                     bonding_pitch=0.0)))
 
     def test_test_coverage_bounded(self):
         with pytest.raises(cc.ValidationError, match="fault_coverage"):
-            validate_test_process(dataclasses.replace(TEST,
-                                                      fault_coverage=1.1))
+            validate_library(one(dataclasses.replace(TEST,
+                                                     fault_coverage=1.1)))
 
     def test_validate_library_walks_all_tables(self):
         bad = cc.Library(ios={}, layers={"m": dataclasses.replace(

@@ -1,9 +1,10 @@
 """SCHEMA.md's attribute tables agree with the model dataclasses.
 
-Each table lists one element's attributes with their defaults; the
-dataclass behind the element is the record the parser and serializer
-read, so the two must name the same attributes, agree on which are
-required, and give the same defaults.
+Each table lists one element's attributes with their types, ranges and
+defaults; the dataclass behind the element is the record the parser,
+serializer and validator read, so the two must name the same
+attributes, agree on which are required, and give the same defaults and
+the same valid ranges.
 """
 import dataclasses
 import os
@@ -19,11 +20,13 @@ SECTIONS = {tag: cls for tag, (_, cls, _) in LIBRARY_KINDS.items()}
 SECTIONS.update(chip=ChipSpec, net=NetSpec)
 
 
-def doc_tables() -> dict[type, dict[str, str]]:
-    """Attribute -> default cell of each element's table in SCHEMA.md."""
-    tables: dict[type, dict[str, str]] = {}
+def doc_tables() -> dict[type, dict[str, dict[str, str]]]:
+    """Attribute -> {column header: cell} of each element's table in
+    SCHEMA.md; a row naming several attributes lists their defaults in
+    order, or one default for all."""
+    tables: dict[type, dict[str, dict[str, str]]] = {}
     cls = None
-    default_col = None
+    header = None
     with open(SCHEMA, encoding="utf-8") as fh:
         for line in fh:
             heading = re.match(r"#+ (.*)", line)
@@ -38,19 +41,25 @@ def doc_tables() -> dict[type, dict[str, str]]:
                 continue
             cells = [c.strip() for c in line.strip().strip("|").split("|")]
             if cells[0] == "attribute":
-                default_col = cells.index("default")
+                header = cells
                 continue
             names = re.findall(r"`(\w+)`", cells[0])
             if not names:
                 continue            # the |---| rule under the header
-            defaults = [d.strip() for d in cells[default_col].split(",")]
+            row = dict(zip(header, cells))
+            defaults = [d.strip() for d in row["default"].split(",")]
             if len(defaults) != len(names):
                 defaults = defaults[:1] * len(names)
-            tables.setdefault(cls, {}).update(zip(names, defaults))
+            tables.setdefault(cls, {}).update(
+                (name, {**row, "default": default})
+                for name, default in zip(names, defaults))
     return tables
 
 
 TABLES = doc_tables()
+# A range in a type cell: a bound such as ">= 0" or an interval "(0, 1]".
+RANGE = re.compile(r"[<>]=? ?-?\d+|[\[(]-?\d+, ?-?\d+[\])]")
+CLASSES = sorted(SECTIONS.values(), key=lambda c: c.__name__)
 
 
 def model_attributes(cls) -> dict[str, dataclasses.Field]:
@@ -81,11 +90,9 @@ def test_every_element_has_a_table():
     assert set(TABLES) == set(SECTIONS.values())
 
 
-@pytest.mark.parametrize("cls", sorted(SECTIONS.values(),
-                                       key=lambda c: c.__name__),
-                         ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_table_matches_dataclass(cls):
-    doc = dict(TABLES[cls])
+    doc = {name: row["default"] for name, row in TABLES[cls].items()}
     model = model_attributes(cls)
     for name in [n for n in doc if n.endswith("_unit")]:
         base = model.get(name.removesuffix("_unit"))
@@ -95,3 +102,24 @@ def test_table_matches_dataclass(cls):
     wrong = {name: doc[name] for name, f in model.items()
              if not matches(doc[name], f)}
     assert not wrong, f"defaults differ from {cls.__name__}: {wrong}"
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_type_column_states_each_range(cls):
+    model = model_attributes(cls)
+    wrong = {}
+    for name, row in TABLES[cls].items():
+        f = model.get(name)                 # None for a *_unit row
+        want = f.metadata.get("check") if f else None
+        found = RANGE.search(row["type"])
+        if (found and found.group(0)) != want:
+            wrong[name] = (row["type"], want)
+    assert not wrong, f"ranges differ from {cls.__name__}: {wrong}"
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_every_number_field_declares_a_range(cls):
+    kinds = field_kinds(cls)
+    unchecked = [f.name for f in dataclasses.fields(cls)
+                 if kinds[f.name] in (int, float) and "check" not in f.metadata]
+    assert not unchecked

@@ -258,6 +258,16 @@ class TestSweepExecution:
                      + float(row["cost_nre"]))
             assert parts == pytest.approx(float(row["cost_total"]), rel=1e-6)
 
+    def test_area_each_follows_an_earlier_area_axis(self, tmp_path,
+                                                    gp_system):
+        plan = parse_sweep(sweep_xml(
+            tmp_path, '<param target="system.chip[tile].core_area"'
+                      ' values="400,800"/><split chip="tile" counts="1,4"'
+                      ' side_bandwidth="64" io="mesh_link"/>'))
+        assert [row[:3] for row in run_sweep(gp_system, plan)] == [
+            (400.0, 1, 400.0), (400.0, 4, 100.0),
+            (800.0, 1, 800.0), (800.0, 4, 200.0)]
+
     def test_split_column_layout(self, tmp_path):
         path = sweep_xml(tmp_path, '<split chip="tile" counts="1,4"'
                                    ' side_bandwidth="64" io="mesh_link"/>')
@@ -389,6 +399,11 @@ class TestBadInputExits2:
          ' io="mesh_link" utilisation="0.5"/>', "utilisation"),
         ('<split chip="tile" counts="4" io="mesh_link"/>',
          "missing attribute 'side_bandwidth'"),
+        # so are those of <param> and of the <sweep> root
+        ('<param target="system.chip[tile].core_area" values="100,200"'
+         ' step="5"/>', "step"),
+        ('<sweep foo="1"><param target="system.chip[tile].core_area"'
+         ' values="100,200"/></sweep>', "foo"),
         # a property or method is not a field
         ('<param target="library.waferprocess[hvm_300mm].usable_radius"'
          ' values="100"/>', "no field 'usable_radius'"),
@@ -403,7 +418,9 @@ class TestBadInputExits2:
          ' range="0:1:0.001"/>', "library.layer[cmos_3nm].defect_density"),
     ])
     def test_bad_sweep_file(self, tmp_path, body, named):
-        self.assert_exits_2(self.run_cli(sweep_xml(tmp_path, body)), named)
+        path = (write(tmp_path / "sweep.xml", body)
+                if body.startswith("<sweep") else sweep_xml(tmp_path, body))
+        self.assert_exits_2(self.run_cli(path), named)
 
     def test_missing_sweep_file(self, tmp_path):
         missing = str(tmp_path / "missing.xml")

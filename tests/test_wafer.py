@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import chipcost as cc
 from chipcost.sweep import FieldAxis, apply_field, apply_split
-from chipcost.wafer import (dies_per_wafer_free, dies_per_wafer_grid,
-                            free_packing, grid_packing, reticle_fit)
+from chipcost.wafer import free_packing, grid_packing, reticle_fit
 
 from conftest import config_path
 from oracles import (free_rows_oracle, grid_family_oracle,
@@ -21,11 +20,11 @@ W300 = dict(wafer_diameter=300.0, edge_exclusion=3.0,
 
 
 def grid(x, y, **kw):
-    return dies_per_wafer_grid(x, y, **{**W300, **kw})
+    return grid_packing(x, y, **{**W300, **kw})
 
 
 def free(x, y, **kw):
-    return dies_per_wafer_free(x, y, **{**W300, **kw})
+    return free_packing(x, y, **{**W300, **kw})
 
 
 class TestGridDicing:
@@ -64,7 +63,7 @@ class TestGridDicing:
             y = round(rng.uniform(3.0, 40.0), 3)
             s = round(rng.uniform(0.0, 0.5), 3)
             e = round(rng.uniform(0.0, 10.0), 3)
-            got = dies_per_wafer_grid(x, y, 300.0, e, s, s)
+            got = grid_packing(x, y, 300.0, e, s, s)
             want = grid_family_oracle(x, y, 300.0, e, s, s)
             assert got == want, (x, y, s, e)
 
@@ -80,7 +79,7 @@ class TestFreeDicing:
             y = round(rng.uniform(3.0, 40.0), 3)
             s = round(rng.uniform(0.0, 0.5), 3)
             e = round(rng.uniform(0.0, 10.0), 3)
-            got = dies_per_wafer_free(x, y, 300.0, e, s, s)
+            got = free_packing(x, y, 300.0, e, s, s)
             assert got == free_rows_oracle(x, y, 300.0, e, s, s), (x, y, s, e)
 
     def test_full_height_die_fits_nowhere(self):
@@ -173,25 +172,25 @@ class TestDominanceAndMonotonicity:
     @settings(max_examples=200, deadline=None)
     def test_free_at_least_grid(self, x, y, s, e):
         x, y, s, e = (round(v, 3) for v in (x, y, s, e))
-        assert (dies_per_wafer_free(x, y, 300.0, e, s, s)
-                >= dies_per_wafer_grid(x, y, 300.0, e, s, s))
+        assert (free_packing(x, y, 300.0, e, s, s)
+                >= grid_packing(x, y, 300.0, e, s, s))
 
     @given(x=st.floats(3.0, 60.0), y=st.floats(3.0, 60.0))
     @settings(max_examples=100, deadline=None)
     def test_area_bound(self, x, y):
         r = 147.0
-        for fn in (dies_per_wafer_grid, dies_per_wafer_free):
+        for fn in (grid_packing, free_packing):
             n = fn(x, y, 300.0, 3.0, 0.1, 0.1)
             assert n * x * y <= math.pi * r * r + 1e-6
 
     def test_shrinking_die_never_loses_dies(self):
         sizes = [40.0, 30.0, 20.0, 15.0, 10.0, 5.0]
-        for fn in (dies_per_wafer_grid, dies_per_wafer_free):
+        for fn in (grid_packing, free_packing):
             counts = [fn(s, s, 300.0, 3.0, 0.1, 0.1) for s in sizes]
             assert counts == sorted(counts)
 
     def test_growing_exclusion_never_gains_dies(self):
-        for fn in (dies_per_wafer_grid, dies_per_wafer_free):
+        for fn in (grid_packing, free_packing):
             counts = [fn(12.0, 9.0, 300.0, e, 0.1, 0.1)
                       for e in (0.0, 1.0, 3.0, 6.0, 12.0)]
             assert counts == sorted(counts, reverse=True)
