@@ -6,7 +6,9 @@ Power rolls up the tree, pad counts follow from connectivity plus power
 and test needs, and the final area of each chip is the largest of its
 core+IO silicon, its stack footprint, and the area its pads demand.
 Order matters and is deliberate: power first (it does not depend on
-area), then pads, then area. No iteration is needed.
+area), then pads, then area. No iteration is needed. Each die is then
+fitted to its wafer and exposure field once, so evaluate reads the fit
+instead of recomputing it.
 
 IO cell area lands only on the two terminal chips of a net. A chip that
 merely routes a net between descendants accrues bumps for it, not cell
@@ -21,9 +23,16 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .model import (AssemblyProcessDef, ChipSpec, IODefinition, Library,
-                    NetSpec, TestProcessDef, ValidatedSystem)
+                    NetSpec, TestProcessDef, ValidatedSystem,
+                    WaferProcessDef)
+from .wafer import ReticleFit, reticle_fit
 
 _EPS = 1e-12
+
+# Most dies one row or column may hold: smaller dies are refused rather
+# than packed for minutes. A 450 mm wafer at this limit has a 22.5 um
+# pitch; a cold grid packing there takes about half a second.
+MAX_DIES_ACROSS = 20_000
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,7 @@ class DerivedChip:
     n_test_ios: int
     n_bonded_pins: int      # pads on the face bonded to the parent
     grown_for_pads: bool
+    fit: ReticleFit         # the die on its process's exposure field
 
     def walk(self):
         yield self
@@ -156,9 +166,9 @@ def _cell_areas(io: IODefinition) -> tuple[float, float]:
     """Cell area per instance on the (source, dest) side of a link. A
     bidirectional cell transmits and receives, so both land on each side."""
     if io.bidirectional:
-        both = io.tx_area + io.rx_area
+        both = io.tx_area + io.receiver_area
         return both, both
-    return io.tx_area, io.rx_area
+    return io.tx_area, io.receiver_area
 
 
 def tally_nets(root: ChipSpec, matrices: ConnectionMatrices,
@@ -341,6 +351,23 @@ def _merge(*tallies: dict[str, int]) -> dict[str, int]:
     return out
 
 
+def _check_die(area: float, side: float, wp: WaferProcessDef,
+               context: str) -> None:
+    """Refuse a die whose wafer figures cannot be computed: too many dies
+    across the wafer to pack, or exposure counts past float range."""
+    across = 2.0 * wp.usable_radius / (side + min(wp.scribe_x, wp.scribe_y))
+    if not across <= MAX_DIES_ACROSS:
+        raise ValidationError(
+            f"{across:.3g} dies of {side:.6g} x {side:.6g} mm "
+            f"fit across waferprocess '{wp.name}', more than "
+            f"{MAX_DIES_ACROSS}", context)
+    field = wp.reticle_x * wp.reticle_y
+    if not (2.0 * area / field < math.inf and field / area < math.inf):
+        raise ValidationError(
+            f"exposure counts of a {area:.6g} mm2 die overflow on "
+            f"waferprocess '{wp.name}'", context)
+
+
 def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
                 parent_asm: AssemblyProcessDef | None) -> DerivedChip:
     ctx = f"chip '{chip.name}'"
@@ -402,6 +429,8 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
         _finite(sum(c.n_bonded_pins for c in children), "bonded pin count",
                 ctx)
     own_pads_below = sum(own_cross.values()) + sum(external.values())
+    wp = library.wafer_processes[chip.wafer_process]
+    _check_die(area, side, wp, ctx)
     return DerivedChip(
         spec=chip, children=children,
         area_core=a_core, area_io=a_io, area_stack=a_stack,
@@ -409,7 +438,8 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
         power_io=p_io, power_total=p_total,
         n_signal_pads=plan.n_signal, n_power_pads=n_power, n_test_ios=n_test,
         n_bonded_pins=own_pads_below + n_power + n_test,
-        grown_for_pads=plan.grown)
+        grown_for_pads=plan.grown,
+        fit=reticle_fit(area, wp.reticle_x, wp.reticle_y))
 
 
 def derive(system: ValidatedSystem) -> DerivedSystem:

@@ -10,7 +10,8 @@ level only surfaces as a failure at the next.
 Impossible configurations (no dies fit the wafer, yield underflows to
 zero) produce infinite costs tagged per node, never exceptions. A die
 whose wafer figures cannot be computed at all (too small to pack, or an
-exposure count past float range) is a configuration error instead.
+exposure count past float range) never gets here: derive refuses it
+while fitting the die to its exposure field.
 """
 from __future__ import annotations
 
@@ -18,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 from .derive import DerivedChip, DerivedSystem
-from .errors import ValidationError
 from .model import (AssemblyProcessDef, LayerDef, Library, TestProcessDef,
                     WaferProcessDef)
-from .wafer import dies_per_wafer, reticle_fit
+from .wafer import dies_per_wafer
 
 INF = math.inf
 
@@ -39,8 +39,10 @@ def litho_multiplier(litho_fraction: float, utilization: float) -> float:
 
 
 def layer_cost(layer: LayerDef, area: float, dim_x: float, dim_y: float,
-               wp: WaferProcessDef) -> float:
-    """One layer's share of the wafer, charged for unusable silicon.
+               wp: WaferProcessDef, utilization: float) -> float:
+    """One layer's share of the wafer, charged for unusable silicon and,
+    by its litho share, for the unused exposure field (`utilization`,
+    from the die's reticle fit).
 
     The effective cost per mm2 spreads the whole usable wafer over the
     dies that actually fit; zero dies per wafer means the die cannot be
@@ -51,41 +53,16 @@ def layer_cost(layer: LayerDef, area: float, dim_x: float, dim_y: float,
         return INF
     r = wp.usable_radius
     effective = layer.cost_per_mm2 * (math.pi * r * r) / (dpw * dim_x * dim_y)
-    fit = reticle_fit(area, wp.reticle_x, wp.reticle_y)
     return area * effective * litho_multiplier(layer.litho_fraction,
-                                               fit.utilization)
-
-
-# Most dies one row or column may hold: smaller dies are refused rather
-# than packed for minutes. A 450 mm wafer at this limit has a 22.5 um
-# pitch; a cold grid packing there takes about half a second.
-MAX_DIES_ACROSS = 20_000
-
-
-def _check_die(chip: DerivedChip, wp: WaferProcessDef) -> None:
-    """Refuse a die whose wafer figures cannot be computed: too many dies
-    across the wafer to pack, or exposure counts past float range."""
-    across = 2.0 * wp.usable_radius / min(chip.dim_x + wp.scribe_x,
-                                          chip.dim_y + wp.scribe_y)
-    if not across <= MAX_DIES_ACROSS:
-        raise ValidationError(
-            f"{across:.3g} dies of {chip.dim_x:.6g} x {chip.dim_y:.6g} mm "
-            f"fit across waferprocess '{wp.name}', more than "
-            f"{MAX_DIES_ACROSS}", f"chip '{chip.spec.name}'")
-    field = wp.reticle_x * wp.reticle_y
-    if not (2.0 * chip.area / field < INF and field / chip.area < INF):
-        raise ValidationError(
-            f"exposure counts of a {chip.area:.6g} mm2 die overflow on "
-            f"waferprocess '{wp.name}'", f"chip '{chip.spec.name}'")
+                                               utilization)
 
 
 def die_cost(chip: DerivedChip, library: Library) -> float:
     wp = library.wafer_processes[chip.spec.wafer_process]
-    _check_die(chip, wp)
     total = 0.0
     for layer_name in chip.spec.layers:
         total += layer_cost(library.layers[layer_name], chip.area,
-                            chip.dim_x, chip.dim_y, wp)
+                            chip.dim_x, chip.dim_y, wp, chip.fit.utilization)
     return total
 
 
@@ -94,16 +71,15 @@ def die_yield(chip: DerivedChip, library: Library) -> float:
     than the exposure field. The critical area is the defect-sensitive
     share of the active silicon (core plus IO cells), not pad or stack
     overhead."""
-    wp = library.wafer_processes[chip.spec.wafer_process]
-    fit = reticle_fit(chip.area, wp.reticle_x, wp.reticle_y)
+    k_stitch = chip.fit.k_stitch
     y = 1.0
     for layer_name in chip.spec.layers:
         layer = library.layers[layer_name]
         critical = (chip.area_core + chip.area_io) * layer.critical_area_fraction
         y *= defect_yield(layer.defect_density, critical,
                           layer.clustering_factor)
-        if fit.k_stitch > 0:
-            y *= math.pow(layer.stitch_yield, fit.k_stitch)
+        if k_stitch > 0:
+            y *= math.pow(layer.stitch_yield, k_stitch)
     return y
 
 

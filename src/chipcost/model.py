@@ -11,7 +11,9 @@ covers the rest: "check" states the field's valid range (">= 0", "> 0",
 ">= 1", "[0, 1]" or "(0, 1]"), which check_fields enforces; "attr"
 names an attribute spelled differently from the field, "unit" marks a
 defect density that accepts a *_unit attribute, and "sparse" marks an
-attribute written only when it differs from its default.
+attribute written only when it differs from its default. "derive" marks
+each library field that derive reads: a sweep re-derives the tree only
+when an axis changes one of them (or the chip tree itself).
 
 Units: mm and mm2 for geometry, W for power, V for voltage, A/mm2 for
 current density, USD for cost, s for time, Gbit/s for bandwidth, pJ/bit
@@ -31,24 +33,29 @@ FRACTION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class IODefinition:
-    """One IO cell type from the library."""
+    """One IO cell type from the library; derive reads every field."""
 
     name: str
-    tx_area: float = field(metadata={"check": ">= 0"})  # mm2 per instance
-    rx_area: float = field(default=None, kw_only=True,  # None: tx_area
-                           metadata={"check": ">= 0"})
-    bandwidth: float = field(metadata={"check": "> 0"})  # Gbit/s per instance
+    # mm2 per instance
+    tx_area: float = field(metadata={"check": ">= 0", "derive": True})
+    # None: a receiver as large as the transmitter, see receiver_area
+    rx_area: float | None = field(default=None, kw_only=True,
+                                  metadata={"check": ">= 0", "derive": True})
+    # Gbit/s per instance
+    bandwidth: float = field(metadata={"check": "> 0", "derive": True})
     # mm, max distance from die edge served
-    reach: float = field(metadata={"check": "> 0"})
+    reach: float = field(metadata={"check": "> 0", "derive": True})
     wires_per_instance: int = field(default=1, kw_only=True,
-                                    metadata={"check": ">= 1"})
+                                    metadata={"check": ">= 1",
+                                              "derive": True})
     energy_per_bit: float = field(default=0.0, kw_only=True,  # pJ/bit
-                                  metadata={"check": ">= 0"})
-    bidirectional: bool = False
+                                  metadata={"check": ">= 0", "derive": True})
+    bidirectional: bool = field(default=False, metadata={"derive": True})
 
-    def __post_init__(self):
-        if self.rx_area is None:    # a receiver the size of the driver
-            object.__setattr__(self, "rx_area", self.tx_area)
+    @property
+    def receiver_area(self) -> float:
+        """rx_area, or tx_area where the library omits it."""
+        return self.tx_area if self.rx_area is None else self.rx_area
 
 
 @dataclass(frozen=True)
@@ -74,16 +81,20 @@ class LayerDef:
 
 @dataclass(frozen=True)
 class WaferProcessDef:
-    """Wafer geometry, dicing style, and per-mm2 design effort rates."""
+    """Wafer geometry, dicing style, and per-mm2 design effort rates.
+
+    derive reads the geometry to fit each die to the wafer and reticle."""
 
     name: str
-    wafer_diameter: float = field(metadata={"check": "> 0"})  # mm
-    edge_exclusion: float = field(metadata={"check": ">= 0"})  # mm
+    # mm
+    wafer_diameter: float = field(metadata={"check": "> 0", "derive": True})
+    edge_exclusion: float = field(metadata={"check": ">= 0", "derive": True})
     # mm added to the die in x and y
-    scribe_x: float = field(metadata={"check": ">= 0"})
-    scribe_y: float = field(metadata={"check": ">= 0"})
-    reticle_x: float = field(metadata={"check": "> 0"})  # mm
-    reticle_y: float = field(metadata={"check": "> 0"})
+    scribe_x: float = field(metadata={"check": ">= 0", "derive": True})
+    scribe_y: float = field(metadata={"check": ">= 0", "derive": True})
+    # mm
+    reticle_x: float = field(metadata={"check": "> 0", "derive": True})
+    reticle_y: float = field(metadata={"check": "> 0", "derive": True})
     dicing: str = "grid"      # "grid" (shared cut lines) or "free"
     # USD per mm2 of logic, memory and analog content, front and back end
     nre_fe_logic: float = field(default=0.0, metadata={"check": ">= 0"})
@@ -116,14 +127,16 @@ class AssemblyProcessDef:
     material_cost_per_mm2: float = field(default=0.0, kw_only=True,
                                          metadata={"check": ">= 0"})
     # mm of clearance around each placed die
-    die_separation: float = field(metadata={"check": ">= 0"})
+    die_separation: float = field(metadata={"check": ">= 0",
+                                            "derive": True})
     # mm ring kept free around the stack region
     edge_exclusion: float = field(default=0.0, kw_only=True,
-                                  metadata={"check": ">= 0"})
+                                  metadata={"check": ">= 0", "derive": True})
     # mm between bonded pads
-    bonding_pitch: float = field(metadata={"check": "> 0"})
+    bonding_pitch: float = field(metadata={"check": "> 0", "derive": True})
     # A/mm2 through a power pad
-    max_current_density: float = field(metadata={"check": "> 0"})
+    max_current_density: float = field(metadata={"check": "> 0",
+                                                 "derive": True})
     bond_yield: float = field(metadata={"check": "(0, 1]"})  # per bonded pad
     # per placed die
     alignment_yield: float = field(metadata={"check": "(0, 1]"})
@@ -143,9 +156,13 @@ class TestProcessDef:
     clock_period: float = field(metadata={"check": ">= 0"})  # s
     # share of true defects the insertion catches
     fault_coverage: float = field(metadata={"check": "[0, 1]"})
-    scan_chains: int = field(default=0, metadata={"check": ">= 0"})
-    ios_per_scan_chain: int = field(default=0, metadata={"check": ">= 0"})
-    test_io_offset: int = field(default=0, metadata={"check": ">= 0"})
+    # test IOs each die reserves pads for
+    scan_chains: int = field(default=0, metadata={"check": ">= 0",
+                                                  "derive": True})
+    ios_per_scan_chain: int = field(default=0, metadata={"check": ">= 0",
+                                                         "derive": True})
+    test_io_offset: int = field(default=0, metadata={"check": ">= 0",
+                                                     "derive": True})
 
 
 @dataclass(frozen=True)
@@ -256,6 +273,13 @@ def _field_checks(cls) -> tuple:
                  for f in dataclasses.fields(cls) if "check" in f.metadata)
 
 
+@functools.cache
+def derive_fields(cls) -> frozenset[str]:
+    """The fields of cls that derive reads ("derive" metadata)."""
+    return frozenset(f.name for f in dataclasses.fields(cls)
+                     if f.metadata.get("derive"))
+
+
 def check_fields(obj, context: str) -> None:
     """Refuse the first field of obj outside its declared range; an
     absent optional value (None) passes."""
@@ -268,7 +292,7 @@ def check_fields(obj, context: str) -> None:
 
 def _check_io(io: IODefinition, ctx: str) -> None:
     if io.bidirectional:
-        _check(io.tx_area == io.rx_area,
+        _check(io.tx_area == io.receiver_area,
                "bidirectional IO requires tx_area == rx_area", ctx)
 
 

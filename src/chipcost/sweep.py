@@ -4,6 +4,14 @@ A sweep is a cartesian product over axes in document order. Every point
 rebuilds its own copy of the library and system (the models are frozen
 dataclasses) from the unchanged base, and points run one after another.
 
+A point re-runs only the stages its values can change. It is always
+evaluated, and its library always validated. The tree and netlist are
+validated again only when a chip or split axis rebuilt them. derive runs
+again only when an axis that reaches it moved since the last point: a
+split or chip axis, or a library axis on a field marked "derive" in the
+model; otherwise the point reuses the last derived tree with its own
+library.
+
 The split axis divides one template chip into an n = m x m mesh of equal
 chiplets. Every mesh link and every boundary stub carries the template's
 side bandwidth divided by m, which keeps the total bandwidth crossing
@@ -19,11 +27,12 @@ import math
 import re
 from dataclasses import dataclass
 
-from .derive import derive
+from .derive import DerivedSystem, derive
 from .engine import evaluate
 from .errors import ValidationError
 from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
-                    ValidatedSystem, field_kinds, validate_system)
+                    ValidatedSystem, derive_fields, field_kinds,
+                    validate_library, validate_system)
 from .report import SCHEMA_VERSION, format_value
 from .xmlio import (_Attrs, _parse_fields, _parse_xml, parse_number,
                     to_integer)
@@ -309,11 +318,40 @@ def sweep_columns(plan: SweepPlan) -> tuple[str, ...]:
     return tuple(cols)
 
 
+def _reaches_derive(axis: FieldAxis | SplitAxis) -> bool:
+    """Whether the axis can change what derive computes: a split or chip
+    axis always, a library axis when derive reads its field."""
+    m = isinstance(axis, FieldAxis) and _TARGET_RE.match(axis.target)
+    if not m or m.group(1) != "library":
+        return True
+    return m.group(4) in derive_fields(LIBRARY_KINDS[m.group(2)][1])
+
+
+class _DeriveMemo:
+    """The last derived tree, keyed by the indices of a point's values on
+    the axes that reach derive (indices, since 0.0 == -0.0)."""
+
+    def __init__(self):
+        self.key = None
+        self.tree = None
+
+    def derive(self, key: tuple, system: ValidatedSystem) -> DerivedSystem:
+        if key != self.key:
+            # drop the old tree first: two large ones are never held
+            self.key = self.tree = None
+            self.tree = derive(system)
+            self.key = key
+        return DerivedSystem(system=system, matrices=self.tree.matrices,
+                             root=self.tree.root)
+
+
 def _evaluate_point(base: ValidatedSystem, plan: SweepPlan,
-                    point: tuple) -> tuple:
+                    reaches: tuple[bool, ...], memo: _DeriveMemo,
+                    index: tuple[int, ...]) -> tuple:
     lib, root, nets = base.library, base.root, base.nets
     cells = []
-    for axis, value in zip(plan.axes, point):
+    for axis, i in zip(plan.axes, index):
+        value = axis.points[i]
         if isinstance(axis, FieldAxis):
             lib, root, nets = apply_field(lib, root, nets, axis.target, value)
             cells.append(value)
@@ -324,8 +362,15 @@ def _evaluate_point(base: ValidatedSystem, plan: SweepPlan,
                         if c.name == axis.chip)
             cells.append(value)
             cells.append(area / value)
-    system = validate_system(root, nets, lib)
-    report = evaluate(derive(system))
+    if root is base.root and nets is base.nets:
+        # only library numbers changed, and no name the tree and netlist
+        # checks read: those passed on the base
+        system = ValidatedSystem(root=root, nets=nets,
+                                 library=validate_library(lib))
+    else:
+        system = validate_system(root, nets, lib)
+    key = tuple(i for i, r in zip(index, reaches) if r)
+    report = evaluate(memo.derive(key, system))
     cells.extend([
         report.cost_total,
         report.breakdown["silicon"],
@@ -357,8 +402,12 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
             raise ValidationError(
                 f"more than {MAX_SWEEP_POINTS} points once axis "
                 f"'{axis.column}' joins the product", "sweep")
-    return [_evaluate_point(base, plan, p)
-            for p in itertools.product(*(axis.points for axis in plan.axes))]
+    validate_system(base.root, base.nets, base.library)
+    reaches = tuple(_reaches_derive(axis) for axis in plan.axes)
+    memo = _DeriveMemo()
+    return [_evaluate_point(base, plan, reaches, memo, index)
+            for index in itertools.product(*(range(len(axis.points))
+                                             for axis in plan.axes))]
 
 
 def sweep_to_csv(plan: SweepPlan, rows: list[tuple]) -> str:

@@ -271,20 +271,21 @@ def naive_net_tally(root, matrices, library):
             for (src, dst), inst in m.items():
                 if io.bidirectional:
                     if name in (src, dst):
-                        area += (io.tx_area + io.rx_area) * inst
+                        area += (io.tx_area + io.receiver_area) * inst
                 else:
                     if src == name:
                         area += io.tx_area * inst
                     if dst == name:
-                        area += io.rx_area * inst
+                        area += io.receiver_area * inst
         for rn in matrices.resolved:
             if not rn.internal and rn.resolving == name:
                 if rn.io.bidirectional:
-                    area += (rn.io.tx_area + rn.io.rx_area) * rn.instances
+                    area += ((rn.io.tx_area + rn.io.receiver_area)
+                             * rn.instances)
                 elif rn.net.source == name:
                     area += rn.io.tx_area * rn.instances
                 else:
-                    area += rn.io.rx_area * rn.instances
+                    area += rn.io.receiver_area * rn.instances
         return area
 
     def power_of(name):
@@ -320,3 +321,37 @@ def naive_net_tally(root, matrices, library):
         power_io={c.name: power_of(c.name) for c in chips},
         external_pads={c.name: external_of(c.name) for c in chips},
         crossing_pads={c.name: crossing_of(c) for c in chips})
+
+
+def naive_sweep(base, plan):
+    """Every row of a sweep by the plain per-point pipeline: each point's
+    values applied to the base, then validate_system, derive and evaluate
+    from scratch. run_sweep must match it row for row."""
+    import itertools
+
+    from chipcost.derive import derive
+    from chipcost.engine import evaluate
+    from chipcost.model import validate_system
+    from chipcost.sweep import FieldAxis, apply_field, apply_split
+
+    rows = []
+    for point in itertools.product(*(axis.points for axis in plan.axes)):
+        lib, root, nets = base.library, base.root, base.nets
+        cells = []
+        for axis, value in zip(plan.axes, point):
+            cells.append(value)
+            if isinstance(axis, FieldAxis):
+                lib, root, nets = apply_field(lib, root, nets, axis.target,
+                                              value)
+            else:
+                area = next(c.core_area for c in root.walk()
+                            if c.name == axis.chip)
+                lib, root, nets = apply_split(lib, root, nets, axis, value)
+                cells.append(area / value)
+        report = evaluate(derive(validate_system(root, nets, lib)))
+        cells.extend([report.cost_total, *report.breakdown.values(),
+                      report.root.yield_chip, report.root.quality_shipped,
+                      report.root.area, report.root.power,
+                      report.infeasible])
+        rows.append(tuple(cells))
+    return rows

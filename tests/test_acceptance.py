@@ -202,6 +202,56 @@ def test_evaluation_is_fast_enough_for_sweeps(gp_system, handcheck_system):
     assert time.perf_counter() - t0 < 10.0
 
 
+# A plan shaped like the benchmark's field_sweep: 2 x 6 x 4 x 3 x 3 x 2
+# points, and only the first axis is a field that derive reads.
+_FIELD_SWEEP_AXES = (
+    FieldAxis("library.io[mesh_link].energy_per_bit", (0.5, 1.0)),
+    FieldAxis("library.layer[cmos_3nm].defect_density",
+              (0.001, 0.002, 0.003, 0.004, 0.005, 0.006)),
+    FieldAxis("library.test[tile_scan].fault_coverage",
+              (0.9, 0.95, 0.99, 1.0)),
+    FieldAxis("library.test[tile_scan].cost_per_second", (0.05, 0.1, 0.2)),
+    FieldAxis("library.assembly[hybrid_25d].bond_yield",
+              (0.99995, 0.99999, 1.0)),
+    FieldAxis("library.assembly[hybrid_25d].alignment_yield", (0.999, 1.0)),
+)
+
+
+@pytest.fixture
+def derive_calls(monkeypatch):
+    """The systems run_sweep derives, in order."""
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return cc.derive(system)
+
+    monkeypatch.setattr("chipcost.sweep.derive", counted)
+    return calls
+
+
+@pytest.mark.parametrize("position, derives", [(0, 2), (2, 48), (5, 864)])
+def test_sweeps_derive_once_per_run_of_equal_derive_values(
+        gp_system, derive_calls, position, derives):
+    axes = list(_FIELD_SWEEP_AXES[1:])
+    axes.insert(position, _FIELD_SWEEP_AXES[0])
+    rows = cc.run_sweep(gp_system, SweepPlan(axes=tuple(axes)))
+    assert len(rows) == 864
+    assert len(derive_calls) == derives
+
+
+def test_sweeps_derive_at_most_once_per_point(gp_system, derive_calls):
+    plan = SweepPlan(axes=(
+        FieldAxis("library.layer[cmos_3nm].defect_density", (0.002, 0.01)),
+        SplitAxis(chip="tile", counts=(1, 4), side_bandwidth=1024.0,
+                  io_type="mesh_link"),
+        FieldAxis("system.chip[*].quantity", (10**5, 10**6)),
+        FieldAxis("library.test[tile_scan].fault_coverage", (0.9, 1.0)),
+    ))
+    rows = cc.run_sweep(gp_system, plan)
+    assert len(derive_calls) == len(rows) // 2
+
+
 def test_derive_scales_to_a_thousand_tiles(gp_system):
     # derive makes one pass over the nets: at 1024 tiles it took 540 ms
     # when every chip rescanned every net, and about 17 ms in one pass

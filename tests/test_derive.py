@@ -8,6 +8,7 @@ from chipcost.derive import (build_matrices, derive, net_instances,
                              tally_nets, _band_area)
 from chipcost.derive import test_io_count as scan_io_count
 from chipcost.sweep import SplitAxis, apply_split
+from chipcost.wafer import reticle_fit
 from gensys import make_system
 from oracles import naive_net_tally
 
@@ -185,7 +186,8 @@ class TestStackArea:
                               area=area, dim_x=side, dim_y=side,
                               power_io=0.0, power_total=0.0,
                               n_signal_pads=0, n_power_pads=0, n_test_ios=0,
-                              n_bonded_pins=0, grown_for_pads=False)
+                              n_bonded_pins=0, grown_for_pads=False,
+                              fit=reticle_fit(area, 33.0, 26.0))
 
     def test_no_children(self):
         assert stack_area((), ASM) == 0.0

@@ -122,18 +122,20 @@ class TestLithoMultiplier:
 class TestLayerCost:
     def test_charges_wasted_silicon_and_field(self):
         layer = dataclasses.replace(LAYER, litho_fraction=0.3)
-        got = layer_cost(layer, 25.0, 5.0, 5.0, WAFER)
+        utilization = reticle_fit(25.0, 33.0, 26.0).utilization
+        got = layer_cost(layer, 25.0, 5.0, 5.0, WAFER, utilization)
         dpw = dies_per_wafer(WAFER, 5.0, 5.0)
         r = WAFER.usable_radius
         effective = 0.1 * math.pi * r * r / (dpw * 25.0)
-        mult = litho_multiplier(0.3, reticle_fit(25.0, 33.0, 26.0).utilization)
+        mult = litho_multiplier(0.3, utilization)
         assert got == pytest.approx(25.0 * effective * mult, rel=1e-12)
 
     def test_effective_rate_exceeds_baseline(self):
-        assert layer_cost(LAYER, 25.0, 5.0, 5.0, WAFER) >= 25.0 * 0.1
+        assert layer_cost(LAYER, 25.0, 5.0, 5.0, WAFER, 1.0) >= 25.0 * 0.1
 
     def test_impossible_die_is_infinite(self):
-        assert math.isinf(layer_cost(LAYER, 160000.0, 400.0, 400.0, WAFER))
+        assert math.isinf(layer_cost(LAYER, 160000.0, 400.0, 400.0, WAFER,
+                                     1.0))
 
     def test_advanced_node_baseline_rate(self, gp_library):
         # 100 mm2 of leading-edge silicon before waste charging

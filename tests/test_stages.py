@@ -1,0 +1,182 @@
+"""Stage-aware sweeps: the record of the library fields derive reads, and
+sweeps that re-run only the stages a point's values can change."""
+import dataclasses
+import random
+
+import pytest
+
+import chipcost as cc
+from chipcost.derive import derive
+from chipcost.engine import evaluate
+from chipcost.model import LIBRARY_KINDS, derive_fields
+from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, run_sweep
+from gensys import make_system
+from oracles import naive_sweep
+
+
+def _perturbed(value, rule: str):
+    """A different value inside the field's declared range."""
+    if isinstance(value, int):          # ">= 0" and ">= 1"
+        return value + 1
+    if rule == ">= 0":
+        return value * 1.5 + 0.25
+    if rule == "> 0":
+        return value * 2.0
+    return value * 0.5 if value > 0.0 else 0.5      # [0, 1] and (0, 1]
+
+
+def _perturb_library(lib: cc.Library) -> cc.Library:
+    """lib with every numeric field that derive does not read moved."""
+    tables = {}
+    for attr, cls, _ in LIBRARY_KINDS.values():
+        reads = derive_fields(cls)
+        tables[attr] = {
+            name: dataclasses.replace(entry, **{
+                f.name: _perturbed(getattr(entry, f.name),
+                                   f.metadata["check"])
+                for f in dataclasses.fields(cls)
+                if "check" in f.metadata and f.name not in reads
+                and getattr(entry, f.name) is not None})
+            for name, entry in getattr(lib, attr).items()}
+    return cc.Library(**tables)
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 5))
+def test_fields_not_marked_derive_leave_derive_unchanged(seed):
+    system = make_system(seed)
+    lib = _perturb_library(system.library)
+    assert lib != system.library
+    moved = derive(cc.validate_system(system.root, system.nets, lib))
+    base = derive(system)
+    assert moved.matrices == base.matrices
+    assert moved.root == base.root
+
+
+def test_every_library_kind_records_what_derive_reads():
+    assert derive_fields(cc.IODefinition) == {
+        "tx_area", "rx_area", "bandwidth", "reach", "wires_per_instance",
+        "energy_per_bit", "bidirectional"}
+    assert derive_fields(cc.LayerDef) == set()
+    assert derive_fields(cc.WaferProcessDef) == {
+        "wafer_diameter", "edge_exclusion", "scribe_x", "scribe_y",
+        "reticle_x", "reticle_y"}
+    assert derive_fields(cc.AssemblyProcessDef) == {
+        "die_separation", "edge_exclusion", "bonding_pitch",
+        "max_current_density"}
+    assert derive_fields(cc.TestProcessDef) == {
+        "scan_chains", "ios_per_scan_chain", "test_io_offset"}
+
+
+# Library axes of a make_system library: (target, values, reads derive).
+_LIBRARY_AXES = (
+    ("library.layer[l0].defect_density", (0.0, 0.01, 0.03), False),
+    ("library.test[t0].fault_coverage", (0.6, 1.0), False),
+    ("library.assembly[a].bond_yield", (0.9999, 1.0), False),
+    ("library.waferprocess[w].nre_fe_logic", (0.0, 4000.0), False),
+    ("library.io[io0].energy_per_bit", (0.1, 1.5), True),
+    ("library.io[io0].tx_area", (0.02, 0.15), True),
+    ("library.assembly[a].bonding_pitch", (0.06, 0.12), True),
+    ("library.test[t1].scan_chains", (1, 6), True),
+    ("library.waferprocess[w].scribe_x", (0.05, 0.3), True),
+)
+
+
+def _random_plan(system: cc.ValidatedSystem, rng: random.Random,
+                 derive_outer: bool) -> SweepPlan:
+    """Two library axes that derive does not read, one it does (outermost
+    or innermost), and sometimes a chip axis and a split of a leaf."""
+    quiet = [FieldAxis(t, v) for t, v, d in _LIBRARY_AXES if not d]
+    loud = [FieldAxis(t, v) for t, v, d in _LIBRARY_AXES if d]
+    axes = rng.sample(quiet, 2)
+    axes.insert(0 if derive_outer else len(axes), rng.choice(loud))
+    leaves = [c for c in system.root.walk()
+              if not c.children and c is not system.root]
+    if leaves and rng.random() < 0.5:
+        axes.insert(rng.randrange(len(axes) + 1), FieldAxis(
+            f"system.chip[{rng.choice(leaves).name}].core_area",
+            (10.0, 40.0)))
+    if leaves and rng.random() < 0.5:
+        axes.insert(rng.randrange(len(axes) + 1), SplitAxis(
+            chip=rng.choice(leaves).name, counts=(1, 4),
+            side_bandwidth=64.0, io_type="io0"))
+    return SweepPlan(axes=tuple(axes))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except cc.ValidationError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize("derive_outer", (True, False))
+@pytest.mark.parametrize("seed", range(12))
+def test_run_sweep_matches_the_per_point_pipeline(seed, derive_outer):
+    system = make_system(seed)
+    plan = _random_plan(system, random.Random(seed), derive_outer)
+    assert (_outcome(run_sweep, system, plan)
+            == _outcome(naive_sweep, system, plan))
+
+
+def test_a_chip_axis_and_a_split_between_library_axes(gp_system):
+    plan = SweepPlan(axes=(
+        FieldAxis("library.layer[cmos_3nm].defect_density", (0.002, 0.01)),
+        FieldAxis("library.io[mesh_link].energy_per_bit", (0.5, 2.0)),
+        SplitAxis(chip="tile", counts=(1, 4, 16), side_bandwidth=1024.0,
+                  io_type="mesh_link"),
+        FieldAxis("library.test[tile_scan].fault_coverage", (0.9, 1.0)),
+        FieldAxis("system.chip[tile_0_0].core_area", (25.0, 40.0)),
+        FieldAxis("library.assembly[hybrid_25d].bonding_pitch", (0.1, 0.2)),
+    ))
+    assert run_sweep(gp_system, plan) == naive_sweep(gp_system, plan)
+
+
+@pytest.mark.parametrize("bidirectional", (False, True))
+def test_an_omitted_rx_area_follows_a_swept_tx_area(gp_system,
+                                                    bidirectional):
+    lib = gp_system.library
+    link = dataclasses.replace(lib.ios["mesh_link"], rx_area=None,
+                               bidirectional=bidirectional)
+    lib = dataclasses.replace(lib, ios={"mesh_link": link})
+    base = cc.validate_system(gp_system.root, gp_system.nets, lib)
+    plan = SweepPlan(axes=(
+        FieldAxis("library.io[mesh_link].tx_area", (0.05, 0.1)),
+        SplitAxis(chip="tile", counts=(4,), side_bandwidth=1024.0,
+                  io_type="mesh_link")))
+    rows = run_sweep(base, plan)
+    for row, tx in zip(rows, (0.05, 0.1)):
+        explicit = dataclasses.replace(link, tx_area=tx, rx_area=tx)
+        want = naive_sweep(cc.validate_system(
+            base.root, base.nets,
+            dataclasses.replace(lib, ios={"mesh_link": explicit})),
+            SweepPlan(axes=plan.axes[1:]))
+        assert row[1:] == want[0]
+    assert rows[0][-3] < rows[1][-3]        # the area grew with the cells
+
+
+def test_an_unvalidated_base_is_refused(gp_system):
+    bad = dataclasses.replace(gp_system.root, children=tuple(
+        dataclasses.replace(c, core_area=-1.0) if c.name == "tile" else c
+        for c in gp_system.root.children))
+    base = cc.ValidatedSystem(root=bad, nets=gp_system.nets,
+                              library=gp_system.library)
+    plan = SweepPlan(axes=(FieldAxis(
+        "library.layer[cmos_3nm].defect_density", (0.002, 0.01)),))
+    with pytest.raises(cc.ValidationError,
+                       match="chip 'tile': core_area must be >= 0"):
+        run_sweep(base, plan)
+
+
+def test_a_reused_tree_is_evaluated_with_the_points_library(gp_system):
+    plan = SweepPlan(axes=(FieldAxis(
+        "library.layer[cmos_3nm].defect_density", (0.002, 0.004)),))
+    rows = run_sweep(gp_system, plan)
+    for row, density in zip(rows, (0.002, 0.004)):
+        layers = dict(gp_system.library.layers)
+        layers["cmos_3nm"] = dataclasses.replace(layers["cmos_3nm"],
+                                                 defect_density=density)
+        lib = dataclasses.replace(gp_system.library, layers=layers)
+        report = evaluate(derive(cc.validate_system(
+            gp_system.root, gp_system.nets, lib)))
+        assert row[1] == report.cost_total
+    assert rows[0][1] < rows[1][1]

@@ -364,14 +364,14 @@ class TestBadInputExits2:
     SPLIT = ('<split chip="tile" counts="{}" side_bandwidth="{}"'
              ' io="mesh_link"/>')
 
-    def run_cli(self, sweep, *extra):
+    def run_cli(self, sweep, *extra, config="graph_processor"):
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         return subprocess.run(
             [sys.executable, "-m", "chipcost.cli", "sweep",
-             "--library", config_path("graph_processor", "library.xml"),
-             "--system", config_path("graph_processor", "system.xml"),
-             "--netlist", config_path("graph_processor", "netlist.xml"),
+             "--library", config_path(config, "library.xml"),
+             "--system", config_path(config, "system.xml"),
+             "--netlist", config_path(config, "netlist.xml"),
              "--sweep", sweep, *extra],
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=src))
@@ -421,6 +421,22 @@ class TestBadInputExits2:
         path = (write(tmp_path / "sweep.xml", body)
                 if body.startswith("<sweep") else sweep_xml(tmp_path, body))
         self.assert_exits_2(self.run_cli(path), named)
+
+    @pytest.mark.parametrize("body, named", [
+        # a library axis: only the library is validated again
+        ('<param target="library.test[tile_scan].fault_coverage"'
+         ' values="0.5,1.5"/>',
+         "test 'tile_scan': fault_coverage must be [0, 1], got 1.5"),
+        # a chip axis: the whole system is
+        ('<param target="system.chip[tile_0_0].core_area"'
+         ' values="10,-1"/>',
+         "chip 'tile_0_0': core_area must be >= 0, got -1.0"),
+    ])
+    def test_bad_value_mid_sweep(self, tmp_path, body, named):
+        proc = self.run_cli(sweep_xml(tmp_path, body),
+                            "--out", str(tmp_path / "rows.csv"),
+                            config="coverage_study")
+        self.assert_exits_2(proc, named)
 
     def test_missing_sweep_file(self, tmp_path):
         missing = str(tmp_path / "missing.xml")

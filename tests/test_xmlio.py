@@ -65,7 +65,9 @@ class TestLibraryParsing:
 
     def test_rx_area_defaults_to_tx(self, libdir):
         lib = parse_library(libdir)
-        assert lib.ios["lnk"].rx_area == lib.ios["lnk"].tx_area == 0.1
+        # the omission is kept, so a swept tx_area carries the receiver
+        assert lib.ios["lnk"].rx_area is None
+        assert lib.ios["lnk"].receiver_area == lib.ios["lnk"].tx_area == 0.1
 
     def test_merge_is_order_independent(self, tmp_path):
         extra = """
