@@ -318,13 +318,19 @@ LIBRARY_KINDS = {
 }
 
 
+def validate_entry(tag: str, entry) -> None:
+    """One library entry's field ranges, then its kind's cross-field rule."""
+    ctx = f"{tag} '{entry.name}'"
+    check_fields(entry, ctx)
+    check = LIBRARY_KINDS[tag][2]
+    if check is not None:
+        check(entry, ctx)
+
+
 def validate_library(lib: Library) -> Library:
-    for tag, (attr, _, check) in LIBRARY_KINDS.items():
+    for tag, (attr, _, _) in LIBRARY_KINDS.items():
         for entry in getattr(lib, attr).values():
-            ctx = f"{tag} '{entry.name}'"
-            check_fields(entry, ctx)
-            if check is not None:
-                check(entry, ctx)
+            validate_entry(tag, entry)
     return lib
 
 

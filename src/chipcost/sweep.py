@@ -3,14 +3,16 @@
 A sweep is a cartesian product over axes in document order. Every point
 rebuilds its own copy of the library and system (the models are frozen
 dataclasses) from the unchanged base, and points run one after another.
+Each axis is resolved once, when it is built; a value it cannot apply
+at a point is refused naming the axis.
 
 A point re-runs only the stages its values can change. It is always
-evaluated, and its library always validated. The tree and netlist are
-validated again only when a chip or split axis rebuilt them. derive runs
-again only when an axis that reaches it moved since the last point: a
-split or chip axis, or a library axis on a field marked "derive" in the
-model; otherwise the point reuses the last derived tree with its own
-library.
+evaluated. When every axis is a library axis, a point re-checks only the
+library entries they name; otherwise its whole system is validated
+again. derive runs again only when an axis that reaches it moved since
+the last point: a split or chip axis, or a library axis on a field
+marked "derive" in the model; otherwise the point reuses the last
+derived tree with its own library.
 
 The split axis divides one template chip into an n = m x m mesh of equal
 chiplets. Every mesh link and every boundary stub carries the template's
@@ -32,7 +34,7 @@ from .engine import evaluate
 from .errors import ValidationError
 from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
                     ValidatedSystem, derive_fields, field_kinds,
-                    validate_library, validate_system)
+                    validate_entry, validate_system)
 from .report import SCHEMA_VERSION, format_value
 from .xmlio import (_Attrs, _parse_fields, _parse_xml, parse_number,
                     to_integer)
@@ -44,14 +46,39 @@ MAX_SWEEP_POINTS = 1_000_000
 MAX_SPLIT_TILES = 16_384
 
 _TARGET_RE = re.compile(
-    rf"^(library)\.({'|'.join(LIBRARY_KINDS)})\[([^\]]+)\]\.(\w+)$"
-    r"|^(system)\.chip\[([^\]]+)\]\.(\w+)$")
+    rf"^(?:library\.({'|'.join(LIBRARY_KINDS)})|system\.chip)"
+    r"\[([^\]]+)\]\.(\w+)$")
 
 
 @dataclass(frozen=True)
 class FieldAxis:
+    """A <param> axis. Its target is resolved when the axis is built into
+    `kind` (the library tag or "chip"), `name` (the entry or chip name,
+    "*" for every chip), `field`, `is_int` and `reaches_derive` (whether
+    derive reads the field); a bad target, an unknown field or one that
+    holds no number is refused there. Errors name `context`, which is
+    "<param target>" unless the caller gives one."""
+
     target: str
     values: tuple[float, ...]
+    context: str = dataclasses.field(default="", compare=False, repr=False)
+
+    def __post_init__(self):
+        ctx = self.context or f"<param {self.target}>"
+        m = _TARGET_RE.match(self.target)
+        if not m:
+            raise ValidationError(f"bad target '{self.target}'", ctx)
+        kind, name, field = m[1] or "chip", m[2], m[3]
+        cls = ChipSpec if kind == "chip" else LIBRARY_KINDS[kind][1]
+        if field not in field_kinds(cls):
+            raise ValidationError(f"{kind} '{name}' has no field '{field}'",
+                                  ctx)
+        if field_kinds(cls)[field] not in (int, float):
+            raise ValidationError(f"field '{field}' is not numeric", ctx)
+        self.__dict__.update(
+            context=ctx, kind=kind, name=name, field=field,
+            is_int=field_kinds(cls)[field] is int,
+            reaches_derive=kind == "chip" or field in derive_fields(cls))
 
     @property
     def column(self) -> str:
@@ -73,6 +100,11 @@ class SplitAxis:
     external_prefix: str = dataclasses.field(default="edge",
                                              metadata={"attr": "external"})
     utilization: float = 1.0
+    reaches_derive = True     # a split rebuilds the tree
+
+    @property
+    def context(self) -> str:
+        return f"<split {self.chip}>"
 
     @property
     def column(self) -> str:
@@ -158,14 +190,12 @@ def parse_sweep(path: str) -> SweepPlan:
             values = a.text("values", False)
             range_ = a.text("range", False)
             a.finish()
-            if not _TARGET_RE.match(target):
-                raise ValidationError(f"bad target '{target}'", ctx)
             if (values is None) == (range_ is None):
                 raise ValidationError(
                     "<param> needs exactly one of values or range", ctx)
             pts = (_parse_values(values, ctx) if values is not None
                    else _parse_range(range_, ctx))
-            axes.append(FieldAxis(target=target, values=pts))
+            axes.append(FieldAxis(target=target, values=pts, context=ctx))
         elif elem.tag == "split":
             counts = _parse_counts(elem.get("counts", ""), path)
             axes.append(_parse_fields(SplitAxis, elem, f"{path}: <split>",
@@ -177,60 +207,40 @@ def parse_sweep(path: str) -> SweepPlan:
     return SweepPlan(axes=tuple(axes))
 
 
-def _replace_number(obj, field: str, value: float):
-    """obj with one numeric field set to value, coerced to the field's type."""
-    kinds = field_kinds(type(obj))
-    if field not in kinds:
-        raise ValidationError(f"'{obj.name}' has no field '{field}'",
-                              "sweep")
-    if kinds[field] is int:
-        value = to_integer(value, f"field '{field}'", "sweep")
-    elif kinds[field] is not float:
-        raise ValidationError(f"field '{field}' is not numeric", "sweep")
-    return dataclasses.replace(obj, **{field: value})
-
-
-def _replace_in_library(lib: Library, kind: str, name: str, field: str,
-                        value: float) -> Library:
-    attr = LIBRARY_KINDS[kind][0]
-    table: dict = getattr(lib, attr)
-    if name not in table:
-        raise ValidationError(f"no {kind} named '{name}' in the library",
-                              "sweep")
-    new_table = dict(table)
-    new_table[name] = _replace_number(table[name], field, value)
-    return dataclasses.replace(lib, **{attr: new_table})
-
-
-def _replace_in_tree(chip: ChipSpec, name: str, field: str,
-                     value: float) -> tuple[ChipSpec, int]:
+def _replace_in_tree(chip: ChipSpec, name: str,
+                     change: dict) -> tuple[ChipSpec, int]:
     hits = 0
     children = []
     for c in chip.children:
-        new_c, n = _replace_in_tree(c, name, field, value)
+        new_c, n = _replace_in_tree(c, name, change)
         children.append(new_c)
         hits += n
-    chip = dataclasses.replace(chip, children=tuple(children))
-    if name == "*" or chip.name == name:
-        chip = _replace_number(chip, field, value)
-        hits += 1
-    return chip, hits
+    matched = name == "*" or chip.name == name
+    return (dataclasses.replace(chip, children=tuple(children),
+                                **(change if matched else {})),
+            hits + matched)
 
 
 def apply_field(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
-                target: str, value: float):
-    m = _TARGET_RE.match(target)
-    if not m:
-        raise ValidationError(f"bad target '{target}'", "sweep")
-    if m.group(1) == "library":
-        lib = _replace_in_library(lib, m.group(2), m.group(3), m.group(4),
-                                  value)
-    else:
-        root, hits = _replace_in_tree(root, m.group(6), m.group(7), value)
+                axis: FieldAxis, value: float):
+    """lib, root and nets with the axis's field set to value."""
+    if axis.is_int:
+        value = to_integer(value, f"field '{axis.field}'", axis.context)
+    change = {axis.field: value}
+    if axis.kind == "chip":
+        root, hits = _replace_in_tree(root, axis.name, change)
         if hits == 0:
             raise ValidationError(
-                f"no chip named '{m.group(6)}' in the system", "sweep")
-    return lib, root, nets
+                f"no chip named '{axis.name}' in the system", axis.context)
+        return lib, root, nets
+    attr = LIBRARY_KINDS[axis.kind][0]
+    table = dict(getattr(lib, attr))
+    if axis.name not in table:
+        raise ValidationError(
+            f"no {axis.kind} named '{axis.name}' in the library",
+            axis.context)
+    table[axis.name] = dataclasses.replace(table[axis.name], **change)
+    return dataclasses.replace(lib, **{attr: table}), root, nets
 
 
 def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
@@ -239,19 +249,18 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
     m = math.isqrt(n)
     if m * m != n:
         raise ValidationError(f"split count {n} is not a perfect square",
-                              "sweep")
+                              axis.context)
 
-    template = None
-    for c in root.walk():
-        if c.name == axis.chip:
-            template = c
+    template = next((c for c in root.walk() if c.name == axis.chip), None)
     if template is None:
-        raise ValidationError(f"no chip named '{axis.chip}' to split", "sweep")
+        raise ValidationError(f"no chip named '{axis.chip}' to split",
+                              axis.context)
     if template.children:
         raise ValidationError("the split template must be a leaf chip",
-                              "sweep")
+                              axis.context)
     if axis.io_type not in lib.ios:
-        raise ValidationError(f"unknown io type '{axis.io_type}'", "sweep")
+        raise ValidationError(f"unknown io type '{axis.io_type}'",
+                              axis.context)
 
     def tile_name(r: int, c: int) -> str:
         return f"{axis.chip}_{r}_{c}"
@@ -275,7 +284,7 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
         return dataclasses.replace(chip, children=tuple(new_children))
 
     if root.name == axis.chip:
-        raise ValidationError("cannot split the root chip", "sweep")
+        raise ValidationError("cannot split the root chip", axis.context)
     new_root = rebuild(root)
 
     link_bw = axis.side_bandwidth / m
@@ -318,75 +327,6 @@ def sweep_columns(plan: SweepPlan) -> tuple[str, ...]:
     return tuple(cols)
 
 
-def _reaches_derive(axis: FieldAxis | SplitAxis) -> bool:
-    """Whether the axis can change what derive computes: a split or chip
-    axis always, a library axis when derive reads its field."""
-    m = isinstance(axis, FieldAxis) and _TARGET_RE.match(axis.target)
-    if not m or m.group(1) != "library":
-        return True
-    return m.group(4) in derive_fields(LIBRARY_KINDS[m.group(2)][1])
-
-
-class _DeriveMemo:
-    """The last derived tree, keyed by the indices of a point's values on
-    the axes that reach derive (indices, since 0.0 == -0.0)."""
-
-    def __init__(self):
-        self.key = None
-        self.tree = None
-
-    def derive(self, key: tuple, system: ValidatedSystem) -> DerivedSystem:
-        if key != self.key:
-            # drop the old tree first: two large ones are never held
-            self.key = self.tree = None
-            self.tree = derive(system)
-            self.key = key
-        return DerivedSystem(system=system, matrices=self.tree.matrices,
-                             root=self.tree.root)
-
-
-def _evaluate_point(base: ValidatedSystem, plan: SweepPlan,
-                    reaches: tuple[bool, ...], memo: _DeriveMemo,
-                    index: tuple[int, ...]) -> tuple:
-    lib, root, nets = base.library, base.root, base.nets
-    cells = []
-    for axis, i in zip(plan.axes, index):
-        value = axis.points[i]
-        if isinstance(axis, FieldAxis):
-            lib, root, nets = apply_field(lib, root, nets, axis.target, value)
-            cells.append(value)
-        else:
-            unsplit = root
-            lib, root, nets = apply_split(lib, root, nets, axis, value)
-            area = next(c.core_area for c in unsplit.walk()
-                        if c.name == axis.chip)
-            cells.append(value)
-            cells.append(area / value)
-    if root is base.root and nets is base.nets:
-        # only library numbers changed, and no name the tree and netlist
-        # checks read: those passed on the base
-        system = ValidatedSystem(root=root, nets=nets,
-                                 library=validate_library(lib))
-    else:
-        system = validate_system(root, nets, lib)
-    key = tuple(i for i, r in zip(index, reaches) if r)
-    report = evaluate(memo.derive(key, system))
-    cells.extend([
-        report.cost_total,
-        report.breakdown["silicon"],
-        report.breakdown["assembly"],
-        report.breakdown["test"],
-        report.breakdown["scrap"],
-        report.breakdown["nre"],
-        report.root.yield_chip,
-        report.root.quality_shipped,
-        report.root.area,
-        report.root.power,
-        report.infeasible,
-    ])
-    return tuple(cells)
-
-
 def run_sweep(base: ValidatedSystem, plan: SweepPlan,
               jobs: int = 1) -> list[tuple]:
     """All rows of the cartesian product, in declaration order.
@@ -403,11 +343,60 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
                 f"more than {MAX_SWEEP_POINTS} points once axis "
                 f"'{axis.column}' joins the product", "sweep")
     validate_system(base.root, base.nets, base.library)
-    reaches = tuple(_reaches_derive(axis) for axis in plan.axes)
-    memo = _DeriveMemo()
-    return [_evaluate_point(base, plan, reaches, memo, index)
-            for index in itertools.product(*(range(len(axis.points))
-                                             for axis in plan.axes))]
+    # library axes alone keep the base tree and netlist, checked above,
+    # so their points re-check only the entries the axes name
+    entries = None
+    if all(isinstance(a, FieldAxis) and a.kind != "chip" for a in plan.axes):
+        entries = dict.fromkeys((a.kind, a.name) for a in plan.axes)
+    # the last derived tree, keyed by the indices of the point's values on
+    # the axes that reach derive (indices, since 0.0 == -0.0)
+    key = tree = None
+    rows = []
+    for index in itertools.product(*(range(len(axis.points))
+                                     for axis in plan.axes)):
+        lib, root, nets = base.library, base.root, base.nets
+        cells = []
+        for axis, i in zip(plan.axes, index):
+            value = axis.points[i]
+            cells.append(value)
+            if isinstance(axis, FieldAxis):
+                lib, root, nets = apply_field(lib, root, nets, axis, value)
+            else:
+                unsplit = root
+                lib, root, nets = apply_split(lib, root, nets, axis, value)
+                cells.append(next(c.core_area for c in unsplit.walk()
+                                  if c.name == axis.chip) / value)
+        if entries is None:
+            system = validate_system(root, nets, lib)
+        else:
+            for kind, name in entries:
+                validate_entry(kind,
+                               getattr(lib, LIBRARY_KINDS[kind][0])[name])
+            system = ValidatedSystem(root=root, nets=nets, library=lib)
+        point_key = tuple(i for i, axis in zip(index, plan.axes)
+                          if axis.reaches_derive)
+        if point_key != key:
+            # drop the old tree first: two large ones are never held
+            tree = None
+            tree = derive(system)
+            key = point_key
+        report = evaluate(DerivedSystem(system=system, matrices=tree.matrices,
+                                        root=tree.root))
+        cells.extend([
+            report.cost_total,
+            report.breakdown["silicon"],
+            report.breakdown["assembly"],
+            report.breakdown["test"],
+            report.breakdown["scrap"],
+            report.breakdown["nre"],
+            report.root.yield_chip,
+            report.root.quality_shipped,
+            report.root.area,
+            report.root.power,
+            report.infeasible,
+        ])
+        rows.append(tuple(cells))
+    return rows
 
 
 def sweep_to_csv(plan: SweepPlan, rows: list[tuple]) -> str:

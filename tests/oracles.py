@@ -341,8 +341,7 @@ def naive_sweep(base, plan):
         for axis, value in zip(plan.axes, point):
             cells.append(value)
             if isinstance(axis, FieldAxis):
-                lib, root, nets = apply_field(lib, root, nets, axis.target,
-                                              value)
+                lib, root, nets = apply_field(lib, root, nets, axis, value)
             else:
                 area = next(c.core_area for c in root.walk()
                             if c.name == axis.chip)

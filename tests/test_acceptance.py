@@ -17,7 +17,9 @@ import mpmath
 import pytest
 
 import chipcost as cc
+from chipcost.cli import main
 from chipcost.engine import defect_yield
+from chipcost.model import check_fields
 from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, apply_field, \
     apply_split
 from conftest import config_path
@@ -152,18 +154,16 @@ def test_batch_bonding_discount_is_exact(gp_system):
     state = (gp_system.library, gp_system.root, gp_system.nets)
     # strip the terms that scale with anything but bonding time, so the
     # serial-vs-batch contrast is the bare per-operation charge
-    state = apply_field(*state,
-                        "library.assembly[hybrid_25d].material_cost_per_mm2",
-                        0.0)
-    state = apply_field(*state, "library.test[package_scan].fault_coverage",
-                        0.0)
+    state = apply_field(*state, FieldAxis(
+        "library.assembly[hybrid_25d].material_cost_per_mm2", (0.0,)), 0.0)
+    state = apply_field(*state, FieldAxis(
+        "library.test[package_scan].fault_coverage", (0.0,)), 0.0)
     for n in (4, 16, 64):
         lib, root, nets = apply_split(*state, axis, n)
         totals = {}
         for group in (1, n):
-            glib, *_ = apply_field(lib, root, nets,
-                                   "library.assembly[hybrid_25d].bond_group",
-                                   group)
+            glib, *_ = apply_field(lib, root, nets, FieldAxis(
+                "library.assembly[hybrid_25d].bond_group", (group,)), group)
             rep = cc.evaluate(cc.derive(cc.validate_system(root, nets, glib)))
             assert not rep.infeasible
             totals[group] = rep.cost_total
@@ -250,6 +250,47 @@ def test_sweeps_derive_at_most_once_per_point(gp_system, derive_calls):
     ))
     rows = cc.run_sweep(gp_system, plan)
     assert len(derive_calls) == len(rows) // 2
+
+
+def test_library_sweeps_recheck_only_the_entries_their_axes_name(
+        gp_system, monkeypatch):
+    checked = []
+
+    def counted(obj, context):
+        checked.append(context)
+        return check_fields(obj, context)
+
+    monkeypatch.setattr("chipcost.model.check_fields", counted)
+    cc.validate_system(gp_system.root, gp_system.nets, gp_system.library)
+    base = len(checked)
+    checked.clear()
+    rows = cc.run_sweep(gp_system, SweepPlan(axes=_FIELD_SWEEP_AXES))
+    assert len(rows) == 864
+    # the six axes name four library entries, of the library's ten
+    assert len(checked) == base + 864 * 4
+
+
+@pytest.mark.parametrize("rx_values, code", [("0.07", 0), ("0.07,0.08", 2)])
+def test_cross_field_checks_see_every_axis_of_a_point(
+        tmp_path, capsys, rx_values, code):
+    # a bidirectional IO needs tx_area == rx_area: a point is checked only
+    # once both of its axes are applied
+    lib = tmp_path / "library.xml"
+    src = open(config_path("graph_processor", "library.xml")).read()
+    lib.write_text(src.replace('bidirectional="false"',
+                               'bidirectional="true"'))
+    sweep = tmp_path / "sweep.xml"
+    sweep.write_text(
+        '<sweep><param target="library.io[mesh_link].tx_area" values="0.07"/>'
+        f'<param target="library.io[mesh_link].rx_area" values="{rx_values}"'
+        '/></sweep>')
+    assert main(["sweep", "--library", str(lib),
+                 "--system", config_path("graph_processor", "system.xml"),
+                 "--netlist", config_path("graph_processor", "netlist.xml"),
+                 "--sweep", str(sweep),
+                 "--out", str(tmp_path / "rows.csv")]) == code
+    err = capsys.readouterr().err
+    assert ("io 'mesh_link'" in err) == (code == 2), err
 
 
 def test_derive_scales_to_a_thousand_tiles(gp_system):

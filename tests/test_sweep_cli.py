@@ -97,7 +97,7 @@ class TestApplyField:
                                            handcheck_system):
         lib, root, nets = apply_field(
             handcheck_library, handcheck_system.root, handcheck_system.nets,
-            "library.layer[die_metal].defect_density", 0.5)
+            FieldAxis("library.layer[die_metal].defect_density", (0.5,)), 0.5)
         assert lib.layers["die_metal"].defect_density == 0.5
         assert handcheck_library.layers["die_metal"].defect_density == 0.001
         assert root is handcheck_system.root
@@ -105,7 +105,7 @@ class TestApplyField:
     def test_integer_field_coerced(self, handcheck_library, handcheck_system):
         lib, _, _ = apply_field(
             handcheck_library, handcheck_system.root, handcheck_system.nets,
-            "library.test[t_die].patterns", 2e5)
+            FieldAxis("library.test[t_die].patterns", (2e5,)), 2e5)
         assert lib.test_processes["t_die"].patterns == 200000
 
     def test_fractional_integer_rejected(self, handcheck_library,
@@ -113,40 +113,42 @@ class TestApplyField:
         with pytest.raises(ValidationError, match="integral"):
             apply_field(handcheck_library, handcheck_system.root,
                         handcheck_system.nets,
-                        "library.test[t_die].patterns", 2.5)
+                        FieldAxis("library.test[t_die].patterns", (2.5,)), 2.5)
 
     def test_non_numeric_field_rejected(self, handcheck_library,
                                         handcheck_system):
         with pytest.raises(ValidationError, match="not numeric"):
             apply_field(handcheck_library, handcheck_system.root,
                         handcheck_system.nets,
-                        "library.io[link].bidirectional", 1.0)
+                        FieldAxis("library.io[link].bidirectional", (1.0,)),
+                        1.0)
 
     def test_chip_field_by_name(self, handcheck_library, handcheck_system):
         _, root, _ = apply_field(
             handcheck_library, handcheck_system.root, handcheck_system.nets,
-            "system.chip[mem].core_area", 64.0)
+            FieldAxis("system.chip[mem].core_area", (64.0,)), 64.0)
         mem = next(c for c in root.walk() if c.name == "mem")
         assert mem.core_area == 64.0
 
     def test_chip_wildcard_hits_all(self, handcheck_library, handcheck_system):
         _, root, _ = apply_field(
             handcheck_library, handcheck_system.root, handcheck_system.nets,
-            "system.chip[*].quantity", 5000.0)
+            FieldAxis("system.chip[*].quantity", (5000.0,)), 5000.0)
         assert all(c.quantity == 5000 for c in root.walk())
 
     def test_unknown_chip_rejected(self, handcheck_library, handcheck_system):
         with pytest.raises(ValidationError, match="no chip named"):
             apply_field(handcheck_library, handcheck_system.root,
                         handcheck_system.nets,
-                        "system.chip[gpu].core_area", 1.0)
+                        FieldAxis("system.chip[gpu].core_area", (1.0,)), 1.0)
 
     def test_unknown_library_entry_rejected(self, handcheck_library,
                                             handcheck_system):
         with pytest.raises(ValidationError, match="no layer named"):
             apply_field(handcheck_library, handcheck_system.root,
                         handcheck_system.nets,
-                        "library.layer[nope].defect_density", 1.0)
+                        FieldAxis("library.layer[nope].defect_density",
+                                  (1.0,)), 1.0)
 
 
 class TestApplySplit:
@@ -409,6 +411,13 @@ class TestBadInputExits2:
          ' values="100"/>', "no field 'usable_radius'"),
         ('<param target="system.chip[tile].walk" values="1"/>',
          "no field 'walk'"),
+        # a value no point can apply names its axis
+        ('<param target="system.chip[gpu].core_area" values="1"/>',
+         "<param system.chip[gpu].core_area>: no chip named 'gpu'"),
+        ('<split chip="tile" counts="4" side_bandwidth="1024" io="nope"/>',
+         "<split tile>: unknown io type 'nope'"),
+        ('<param target="library.io[mesh_link].wires_per_instance"'
+         ' values="1.5"/>', "field 'wires_per_instance'"),
         # size caps, checked before any point is built
         ('<param target="system.chip[tile].core_area" range="0:1:1e-12"/>',
          "system.chip[tile].core_area"),
@@ -437,6 +446,18 @@ class TestBadInputExits2:
                             "--out", str(tmp_path / "rows.csv"),
                             config="coverage_study")
         self.assert_exits_2(proc, named)
+
+    @pytest.mark.parametrize("target", [
+        "library.layer[cmos_3nm].nosuch",
+        # a flag is a field, but not one a sweep can set to a number
+        "system.chip[tile].buried",
+    ])
+    def test_bad_field_is_refused_at_parse(self, tmp_path, target):
+        path = sweep_xml(tmp_path, f'<param target="{target}" values="1"/>')
+        out = tmp_path / "rows.csv"
+        proc = self.run_cli(path, "--out", str(out))
+        self.assert_exits_2(proc, f"{path}: <param {target}>")
+        assert not out.exists()
 
     def test_missing_sweep_file(self, tmp_path):
         missing = str(tmp_path / "missing.xml")

@@ -124,7 +124,7 @@ def shipped_dies():
             for point in itertools.product(*(a.points for a in plan.axes)):
                 state = (base.library, base.root, base.nets)
                 for axis, value in zip(plan.axes, point):
-                    state = (apply_field(*state, axis.target, value)
+                    state = (apply_field(*state, axis, value)
                              if isinstance(axis, FieldAxis)
                              else apply_split(*state, axis, value))
                 system = cc.validate_system(state[1], state[2], state[0])
