@@ -5,7 +5,11 @@ against its tested yield; an assembly stage bonds the tested children onto
 the tested parent die, is tested itself, and scrapped against the tested
 assembly yield. Quality (truly good parts among test passers) propagates
 upward and discounts the assembly true yield, because an escape at one
-level only surfaces as a failure at the next.
+level only surfaces as a failure at the next. The assembly test screens
+the assembly and its children but not the parent die, which only its
+own test screened: quality_shipped = quality_self x q_asm, where q_asm
+is the truly good share (bond sound, every child truly good) of the
+assemblies that pass.
 
 Impossible configurations (no dies fit the wafer, yield underflows to
 zero) produce infinite costs tagged per node, never exceptions. A die
@@ -19,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .derive import DerivedChip, DerivedSystem
-from .model import (AssemblyProcessDef, LayerDef, Library, TestProcessDef,
-                    WaferProcessDef)
+from .model import (AssemblyProcessDef, ChipSpec, LayerDef, Library,
+                    TestProcessDef, WaferProcessDef, ref_fields)
 from .wafer import dies_per_wafer
 
 INF = math.inf
@@ -187,11 +191,27 @@ class CostReport:
         return tuple(self.root.walk())
 
 
-def _evaluate_node(chip: DerivedChip, library: Library,
-                   path: str) -> NodeCosts:
+def _entries_read(chip: DerivedChip, memo: dict) -> frozenset:
+    """(kind, name) of each library entry that costing chip's subtree
+    reads: what its "ref" fields name (a "parent" one only on a chip
+    with children), and its children's sets in memo."""
+    reads = set().union(*(memo[id(c)][0] for c in chip.children))
+    for field, kind, parent in ref_fields(ChipSpec):
+        if chip.children or not parent:
+            names = getattr(chip.spec, field)
+            reads.update((kind, name) for name in
+                         (names if isinstance(names, tuple) else (names,)))
+    return frozenset(reads)
+
+
+def _evaluate_node(chip: DerivedChip, library: Library, path: str,
+                   memo: dict | None, moved: set | frozenset) -> NodeCosts:
+    last = memo.get(id(chip)) if memo is not None else None
+    if last is not None and last[0].isdisjoint(moved):
+        return last[1]
     spec = chip.spec
     my_path = f"{path}/{spec.name}" if path else spec.name
-    children = tuple(_evaluate_node(c, library, my_path)
+    children = tuple(_evaluate_node(c, library, my_path, memo, moved)
                      for c in chip.children)
 
     c_die = die_cost(chip, library)
@@ -242,7 +262,7 @@ def _evaluate_node(chip: DerivedChip, library: Library,
         y_chip = y_die
         scrap = c_re - (c_die + c_test_self)
 
-    return NodeCosts(
+    costs = NodeCosts(
         name=spec.name, path=my_path, area=chip.area,
         power=chip.power_total,
         cost_die=c_die, cost_test_self=c_test_self,
@@ -254,11 +274,22 @@ def _evaluate_node(chip: DerivedChip, library: Library,
         yield_child_quality=y_child_q, yield_tested_assembly=y_tested_asm,
         yield_chip=y_chip, quality_shipped=q_shipped,
         infeasible=infeasible, children=children)
+    if memo is not None:
+        memo[id(chip)] = (last[0] if last else _entries_read(chip, memo),
+                          costs)
+    return costs
 
 
-def evaluate(ds: DerivedSystem) -> CostReport:
-    """Roll the whole tree up into a report with a category breakdown."""
-    root = _evaluate_node(ds.root, ds.system.library, "")
+def evaluate(ds: DerivedSystem, *, memo: dict | None = None,
+             moved: set | frozenset = frozenset()) -> CostReport:
+    """Roll the whole tree up into a report with a category breakdown.
+
+    `memo`, a dict the caller keeps for one derived tree, holds each
+    node's last costs: a node whose subtree reads none of the `moved`
+    library entries ((kind, name) pairs) returns them without recursing.
+    The breakdown still walks every node, so the sums keep their bits.
+    """
+    root = _evaluate_node(ds.root, ds.system.library, "", memo, moved)
     silicon = 0.0
     assembly = 0.0
     test = 0.0

@@ -2,7 +2,7 @@
 
 Everything here is a frozen dataclass. Parameter studies never mutate a
 model in place; they rebuild the changed pieces with dataclasses.replace,
-so every sweep point starts from the same unchanged inputs.
+so no sweep point alters the inputs another point holds.
 
 Each dataclass is also the one record of its XML element: a field is an
 attribute of the same name and type, and its default is the attribute's
@@ -13,7 +13,9 @@ names an attribute spelled differently from the field, "unit" marks a
 defect density that accepts a *_unit attribute, and "sparse" marks an
 attribute written only when it differs from its default. "derive" marks
 each library field that derive reads: a sweep re-derives the tree only
-when an axis changes one of them (or the chip tree itself).
+when an axis changes one of them (or the chip tree itself). "ref" names
+the library kind of the entry a ChipSpec field names, the record of what
+evaluate reads; "parent" marks one it reads only on a chip with children.
 
 Units: mm and mm2 for geometry, W for power, V for voltage, A/mm2 for
 current density, USD for cost, s for time, Gbit/s for bandwidth, pJ/bit
@@ -195,11 +197,13 @@ class ChipSpec:
     core_voltage: float = field(metadata={"check": ">= 0"})
     # units manufactured, amortizes NRE
     quantity: int = field(metadata={"check": ">= 1"})
-    layers: tuple[str, ...]
-    wafer_process: str
-    test_self: str
-    assembly_process: str | None = None
-    test_assembly: str | None = None
+    layers: tuple[str, ...] = field(metadata={"ref": "layer"})
+    wafer_process: str = field(metadata={"ref": "waferprocess"})
+    test_self: str = field(metadata={"ref": "test"})
+    assembly_process: str | None = field(
+        default=None, metadata={"ref": "assembly", "parent": True})
+    test_assembly: str | None = field(
+        default=None, metadata={"ref": "test", "parent": True})
     logic_fraction: float = field(default=1.0, metadata={"check": "[0, 1]"})
     memory_fraction: float = field(default=0.0, metadata={"check": "[0, 1]"})
     analog_fraction: float = field(default=0.0, metadata={"check": "[0, 1]"})
@@ -278,6 +282,14 @@ def derive_fields(cls) -> frozenset[str]:
     """The fields of cls that derive reads ("derive" metadata)."""
     return frozenset(f.name for f in dataclasses.fields(cls)
                      if f.metadata.get("derive"))
+
+
+@functools.cache
+def ref_fields(cls) -> tuple[tuple[str, str, bool], ...]:
+    """(field, library kind, read only on a parent) for each field of cls
+    that names a library entry ("ref" metadata)."""
+    return tuple((f.name, f.metadata["ref"], f.metadata.get("parent", False))
+                 for f in dataclasses.fields(cls) if "ref" in f.metadata)
 
 
 def check_fields(obj, context: str) -> None:

@@ -1,18 +1,22 @@
 """Parameter sweeps: scalar field axes and the homogeneous split axis.
 
-A sweep is a cartesian product over axes in document order. Every point
-rebuilds its own copy of the library and system (the models are frozen
-dataclasses) from the unchanged base, and points run one after another.
+A sweep is a cartesian product over axes in document order, and points
+run one after another. The models are frozen dataclasses: a point
+rebuilds the pieces its values change and alters no other point's.
 Each axis is resolved once, when it is built; a value it cannot apply
 at a point is refused naming the axis.
 
-A point re-runs only the stages its values can change. It is always
-evaluated. When every axis is a library axis, a point re-checks only the
-library entries they name; otherwise its whole system is validated
-again. derive runs again only when an axis that reaches it moved since
-the last point: a split or chip axis, or a library axis on a field
-marked "derive" in the model; otherwise the point reuses the last
-derived tree with its own library.
+A point re-runs only the stages its values can change. When every axis
+is a library axis, a point starts from the last point's library,
+re-applies only the axes whose value index moved (an axis sets an
+absolute value, so the library is the one the base would give) and
+re-checks the entries the axes name; otherwise it starts from the base
+and its whole system is validated again. derive runs again only when
+an axis that reaches it moved since the last point: a split or chip
+axis, or a library axis on a field marked "derive" in the model;
+otherwise the point reuses the last derived tree with its own library,
+and a library-only sweep re-costs only the nodes whose subtree reads
+an entry a moved axis names (see engine.evaluate).
 
 The split axis divides one template chip into an n = m x m mesh of equal
 chiplets. Every mesh link and every boundary stub carries the template's
@@ -331,6 +335,9 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
               jobs: int = 1) -> list[tuple]:
     """All rows of the cartesian product, in declaration order.
 
+    A library-only plan carries its library from point to point and
+    keeps evaluate's memo of node costs, emptied whenever derive runs.
+
     Points run serially whatever `jobs` asks for: a thread pool measured
     slower than one loop on every benchmark workload, since the points
     hold the interpreter lock. `jobs` is kept so callers need not change.
@@ -344,23 +351,33 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
                 f"'{axis.column}' joins the product", "sweep")
     validate_system(base.root, base.nets, base.library)
     # library axes alone keep the base tree and netlist, checked above,
-    # so their points re-check only the entries the axes name
+    # so their points re-check only the entries the axes name and start
+    # from the last point's library
     entries = None
     if all(isinstance(a, FieldAxis) and a.kind != "chip" for a in plan.axes):
         entries = dict.fromkeys((a.kind, a.name) for a in plan.axes)
     # the last derived tree, keyed by the indices of the point's values on
-    # the axes that reach derive (indices, since 0.0 == -0.0)
-    key = tree = None
+    # the axes that reach derive (indices, since 0.0 == -0.0), and the
+    # last costs of its nodes (library axes alone)
+    key = tree = memo = last = None
     rows = []
     for index in itertools.product(*(range(len(axis.points))
                                      for axis in plan.axes)):
-        lib, root, nets = base.library, base.root, base.nets
+        if entries is None or last is None:
+            lib, root, nets = base.library, base.root, base.nets
+            last = (None,) * len(index)
+        # the entries named by the axes whose value index moved (indices,
+        # since 0.0 == -0.0)
+        moved = set()
         cells = []
-        for axis, i in zip(plan.axes, index):
+        for axis, i, was in zip(plan.axes, index, last):
             value = axis.points[i]
             cells.append(value)
             if isinstance(axis, FieldAxis):
-                lib, root, nets = apply_field(lib, root, nets, axis, value)
+                if i != was:
+                    lib, root, nets = apply_field(lib, root, nets, axis,
+                                                  value)
+                    moved.add((axis.kind, axis.name))
             else:
                 unsplit = root
                 lib, root, nets = apply_split(lib, root, nets, axis, value)
@@ -380,8 +397,11 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
             tree = None
             tree = derive(system)
             key = point_key
+            memo = None if entries is None else {}
+        last = index
         report = evaluate(DerivedSystem(system=system, matrices=tree.matrices,
-                                        root=tree.root))
+                                        root=tree.root),
+                          memo=memo, moved=moved)
         cells.extend([
             report.cost_total,
             report.breakdown["silicon"],

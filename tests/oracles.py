@@ -354,3 +354,83 @@ def naive_sweep(base, plan):
                       report.infeasible])
         rows.append(tuple(cells))
     return rows
+
+
+def simulate_rollup(ds, n, seed):
+    """Monte Carlo of the cost rollup, unit by unit, for a derived system.
+
+    Every die is fabricated and tested, and discarded if it fails. An
+    assembly bonds one passing unit of each child onto a passing parent
+    die, is tested, and is discarded whole if it fails. A test catches a
+    bad part with probability equal to its fault coverage; the assembly
+    test sees a failed bond or a bad child, not a bad parent die. Only
+    the per-node figures come from the engine (die_cost, die_yield,
+    test_cost, assembly_cost, assembly_yield); the retries, escapes and
+    discards are simulated, by a different route than its closed forms.
+
+    Returns the mean cost of the first n shipped units of the root, the
+    standard error of that mean, and the truly good share of those units.
+    """
+    from chipcost.engine import (assembly_cost, assembly_yield, die_cost,
+                                 die_yield, test_cost)
+
+    rng = np.random.default_rng(seed)
+    lib = ds.system.library
+
+    def first_passing(attempt, n):
+        """Cost (of every attempt since the previous pass) and truth of
+        the first n passing units, trying in batches sized by the pass
+        rate seen so far."""
+        costs, goods, passes = [], [], []
+        tried = got = 0
+        while got < n:
+            m = (n if not tried
+                 else max(16, int(1.2 * (n - got) * tried / max(got, 1))))
+            c, g, p = attempt(m)
+            costs.append(c)
+            goods.append(g)
+            passes.append(p)
+            tried += m
+            got += int(np.count_nonzero(p))
+        ends = np.flatnonzero(np.concatenate(passes))[:n]
+        spent = np.cumsum(np.concatenate(costs))[ends]
+        return np.diff(spent, prepend=0.0), np.concatenate(goods)[ends]
+
+    def dies(chip, n):
+        tp = lib.test_processes[chip.spec.test_self]
+        each = die_cost(chip, lib) + test_cost(tp)
+        y = die_yield(chip, lib)
+
+        def attempt(m):
+            good = rng.random(m) < y
+            passed = good | (rng.random(m) >= tp.fault_coverage)
+            return np.full(m, each), good, passed
+
+        return first_passing(attempt, n)
+
+    def units(chip, n):
+        if not chip.children:
+            return dies(chip, n)
+        asm = lib.assembly_processes[chip.spec.assembly_process]
+        tp = lib.test_processes[chip.spec.test_assembly]
+        n_dies = len(chip.children)
+        area = sum(c.area for c in chip.children)
+        pins = sum(c.n_bonded_pins for c in chip.children)
+        y_bond = assembly_yield(asm, pins, n_dies, area)
+
+        def attempt(m):
+            cost, die_good = dies(chip, m)
+            sound = rng.random(m) < y_bond
+            for child in chip.children:
+                child_cost, child_good = units(child, m)
+                cost = cost + child_cost
+                sound &= child_good
+            cost = cost + assembly_cost(asm, n_dies, area) + test_cost(tp)
+            passed = sound | (rng.random(m) >= tp.fault_coverage)
+            return cost, die_good & sound, passed
+
+        return first_passing(attempt, n)
+
+    cost, good = units(ds.root, n)
+    return (float(cost.mean()), float(cost.std(ddof=1) / math.sqrt(n)),
+            float(good.mean()))

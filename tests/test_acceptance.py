@@ -18,7 +18,7 @@ import pytest
 
 import chipcost as cc
 from chipcost.cli import main
-from chipcost.engine import defect_yield
+from chipcost.engine import defect_yield, die_cost
 from chipcost.model import check_fields
 from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, apply_field, \
     apply_split
@@ -268,6 +268,27 @@ def test_library_sweeps_recheck_only_the_entries_their_axes_name(
     assert len(rows) == 864
     # the six axes name four library entries, of the library's ten
     assert len(checked) == base + 864 * 4
+
+
+def test_library_sweeps_recost_only_the_subtrees_a_point_changed(
+        gp_system, monkeypatch):
+    axis = SplitAxis(chip="tile", counts=(), side_bandwidth=1024.0,
+                     io_type="mesh_link", external_prefix="edge",
+                     utilization=1.0)
+    lib, root, nets = apply_split(gp_system.library, gp_system.root,
+                                  gp_system.nets, axis, 16)
+    base = cc.validate_system(root, nets, lib)
+    costed = []
+
+    def counted(chip, library):
+        costed.append(chip.spec.name)
+        return die_cost(chip, library)
+
+    monkeypatch.setattr("chipcost.engine.die_cost", counted)
+    rows = cc.run_sweep(base, SweepPlan(axes=_FIELD_SWEEP_AXES))
+    assert len(rows) == 864
+    # costing all 17 nodes at every point takes 864 x 17 = 14,688
+    assert len(costed) <= 14_688 // 4
 
 
 @pytest.mark.parametrize("rx_values, code", [("0.07", 0), ("0.07,0.08", 2)])

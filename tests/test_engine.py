@@ -12,6 +12,9 @@ from chipcost.engine import die_cost as raw_die_cost
 from chipcost.engine import tested_yield as yield_after_test
 from chipcost.engine import test_cost as insertion_cost
 from chipcost.wafer import dies_per_wafer, reticle_fit
+from conftest import config_path
+from gensys import make_system
+from oracles import simulate_rollup
 
 LAYER = cc.LayerDef(name="m", cost_per_mm2=0.1, defect_density=0.0,
                     clustering_factor=2.0, critical_area_fraction=0.5,
@@ -356,3 +359,24 @@ class TestEvaluate:
         untested = report(die(), lib(layer=layer, test=blind)).root
         assert untested.yield_tested_self == 1.0
         assert untested.quality_self == pytest.approx(untested.yield_die)
+
+
+@pytest.mark.parametrize("source",
+                         ("graph_processor", "coverage_study", *range(20)))
+def test_rollup_matches_a_monte_carlo_of_the_process_flow(source):
+    if isinstance(source, int):
+        system = make_system(source)
+    else:
+        system = cc.parse_system(
+            config_path(source, "system.xml"),
+            config_path(source, "netlist.xml"),
+            cc.parse_library(config_path(source, "library.xml")))
+    ds = derive(system)
+    root = evaluate(ds).root
+    assert not root.infeasible
+    n = 20_000
+    cost, stderr, good = simulate_rollup(ds, n, seed=1)
+    # 5 sigma, plus rounding room where every unit costs the same
+    assert abs(cost - root.cost_re) <= 5.0 * stderr + 1e-9 * root.cost_re
+    q = root.quality_shipped
+    assert abs(good - q) <= 5.0 * math.sqrt(q * (1.0 - q) / n) + 1e-12

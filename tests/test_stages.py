@@ -1,14 +1,18 @@
-"""Stage-aware sweeps: the record of the library fields derive reads, and
-sweeps that re-run only the stages a point's values can change."""
+"""Stage-aware sweeps: the records of the library fields derive reads and
+of the library entries evaluate reads, and sweeps that re-run only the
+stages, and re-cost only the nodes, a point's values can change."""
+import ast
 import dataclasses
+import inspect
 import random
 
 import pytest
 
 import chipcost as cc
-from chipcost.derive import derive
+from chipcost import engine
+from chipcost.derive import DerivedSystem, derive
 from chipcost.engine import evaluate
-from chipcost.model import LIBRARY_KINDS, derive_fields
+from chipcost.model import LIBRARY_KINDS, derive_fields, ref_fields
 from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, run_sweep
 from gensys import make_system
 from oracles import naive_sweep
@@ -25,20 +29,22 @@ def _perturbed(value, rule: str):
     return value * 0.5 if value > 0.0 else 0.5      # [0, 1] and (0, 1]
 
 
+def _perturb_entry(entry):
+    """entry with every numeric field that derive does not read moved."""
+    cls = type(entry)
+    return dataclasses.replace(entry, **{
+        f.name: _perturbed(getattr(entry, f.name), f.metadata["check"])
+        for f in dataclasses.fields(cls)
+        if "check" in f.metadata and f.name not in derive_fields(cls)
+        and getattr(entry, f.name) is not None})
+
+
 def _perturb_library(lib: cc.Library) -> cc.Library:
     """lib with every numeric field that derive does not read moved."""
-    tables = {}
-    for attr, cls, _ in LIBRARY_KINDS.values():
-        reads = derive_fields(cls)
-        tables[attr] = {
-            name: dataclasses.replace(entry, **{
-                f.name: _perturbed(getattr(entry, f.name),
-                                   f.metadata["check"])
-                for f in dataclasses.fields(cls)
-                if "check" in f.metadata and f.name not in reads
-                and getattr(entry, f.name) is not None})
-            for name, entry in getattr(lib, attr).items()}
-    return cc.Library(**tables)
+    return cc.Library(**{
+        attr: {name: _perturb_entry(entry)
+               for name, entry in getattr(lib, attr).items()}
+        for attr, _, _ in LIBRARY_KINDS.values()})
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 5))
@@ -67,6 +73,80 @@ def test_every_library_kind_records_what_derive_reads():
         "scan_chains", "ios_per_scan_chain", "test_io_offset"}
 
 
+def _naming(root: cc.ChipSpec, kind: str, name: str) -> set[str]:
+    """Names of the chips whose "ref" fields name entry (kind, name),
+    with their ancestors; a "parent" field counts only on a chip with
+    children."""
+    out = set()
+
+    def visit(chip: cc.ChipSpec) -> bool:
+        hit = False
+        for c in chip.children:
+            hit = visit(c) or hit
+        for field, ref, parent in ref_fields(cc.ChipSpec):
+            names = getattr(chip, field)
+            if (ref == kind and (chip.children or not parent)
+                    and name in (names if isinstance(names, tuple)
+                                 else (names,))):
+                hit = True
+        if hit:
+            out.add(chip.name)
+        return hit
+
+    visit(root)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 6))
+def test_the_ref_record_names_every_entry_a_nodes_costs_read(seed):
+    system = make_system(seed)
+    tree = derive(system)
+    memo = {}
+    base = {n.name: n for n in evaluate(tree, memo=memo).nodes}
+    for kind, (attr, _, _) in LIBRARY_KINDS.items():
+        for name, entry in getattr(system.library, attr).items():
+            table = dict(getattr(system.library, attr))
+            table[name] = _perturb_entry(entry)
+            lib = dataclasses.replace(system.library, **{attr: table})
+            ds = DerivedSystem(
+                system=cc.ValidatedSystem(root=system.root, nets=system.nets,
+                                          library=lib),
+                matrices=tree.matrices, root=tree.root)
+            report = evaluate(ds)
+            changed = {n.name for n in report.nodes if n != base[n.name]}
+            assert changed == _naming(system.root, kind, name), (kind, name)
+            # the memo of the base re-costs just those nodes
+            assert evaluate(ds, memo=dict(memo),
+                            moved={(kind, name)}) == report
+
+
+def test_every_library_lookup_in_evaluate_goes_through_a_ref_field():
+    tables = {attr: kind for kind, (attr, _, _) in LIBRARY_KINDS.items()}
+    refs = {field: kind for field, kind, _ in ref_fields(cc.ChipSpec)}
+    source = ast.parse(inspect.getsource(engine))
+    # a loop variable bound to a ref field's names, such as spec.layers
+    loops = {node.target.id: node.iter.attr for node in ast.walk(source)
+             if isinstance(node, (ast.For, ast.comprehension))
+             and isinstance(node.target, ast.Name)
+             and isinstance(node.iter, ast.Attribute)
+             and node.iter.attr in refs}
+    parent = {child: node for node in ast.walk(source)
+              for child in ast.iter_child_nodes(node)}
+    lookups = []
+    for node in ast.walk(source):
+        if (isinstance(node, ast.Attribute) and node.attr in tables
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "library"):
+            lookup = parent[node]
+            assert isinstance(lookup, ast.Subscript), ast.unparse(lookup)
+            key = lookup.slice
+            field = (key.attr if isinstance(key, ast.Attribute)
+                     else loops.get(getattr(key, "id", None)))
+            assert refs.get(field) == tables[node.attr], ast.unparse(lookup)
+            lookups.append(field)
+    assert set(lookups) == set(refs)
+
+
 # Library axes of a make_system library: (target, values, reads derive).
 _LIBRARY_AXES = (
     ("library.layer[l0].defect_density", (0.0, 0.01, 0.03), False),
@@ -81,14 +161,63 @@ _LIBRARY_AXES = (
 )
 
 
+# Pairs of axes on one entry of a make_system library.
+_SAME_ENTRY = (
+    (("library.assembly[a].bond_yield", (0.9999, 1.0)),
+     ("library.assembly[a].alignment_yield", (0.996, 1.0))),
+    (("library.layer[l0].defect_density", (0.0, 0.02)),
+     ("library.layer[l0].cost_per_mm2", (0.1, 0.3))),
+    (("library.layer[l1].defect_density", (0.0, 0.02)),
+     ("library.layer[l1].critical_area_fraction", (0.3, 0.9))),
+    (("library.test[t1].scan_chains", (1, 6)),
+     ("library.test[t1].fault_coverage", (0.6, 1.0))),
+)
+
+
+def _with_spare_tests(system: cc.ValidatedSystem) -> cc.ValidatedSystem:
+    """system with two more test entries: 't_root', which only the root
+    reads (a copy of its test_self), and 't_none', which no chip names."""
+    tests = dict(system.library.test_processes)
+    tests["t_root"] = dataclasses.replace(tests[system.root.test_self],
+                                          name="t_root")
+    tests["t_none"] = dataclasses.replace(tests["t0"], name="t_none")
+    return cc.validate_system(
+        dataclasses.replace(system.root, test_self="t_root"), system.nets,
+        dataclasses.replace(system.library, test_processes=tests))
+
+
 def _random_plan(system: cc.ValidatedSystem, rng: random.Random,
-                 derive_outer: bool) -> SweepPlan:
+                 derive_outer: bool, library_only: bool = False) -> SweepPlan:
     """Two library axes that derive does not read, one it does (outermost
-    or innermost), and sometimes a chip axis and a split of a leaf."""
+    or innermost), and sometimes a chip axis and a split of a leaf.
+
+    A library-only plan, on a system from _with_spare_tests, adds two axes
+    on one entry and one each on 't_root' and 't_none', one of these two
+    innermost; it sometimes holds a value that cannot be applied or is
+    out of range."""
     quiet = [FieldAxis(t, v) for t, v, d in _LIBRARY_AXES if not d]
     loud = [FieldAxis(t, v) for t, v, d in _LIBRARY_AXES if d]
     axes = rng.sample(quiet, 2)
     axes.insert(0 if derive_outer else len(axes), rng.choice(loud))
+    if library_only:
+        extra = [FieldAxis(t, v) for t, v in rng.choice(_SAME_ENTRY)]
+        spare = [FieldAxis("library.test[t_root].fault_coverage",
+                           (0.7, 0.95)),
+                 FieldAxis("library.test[t_none].cost_per_second",
+                           (0.05, 0.2))]
+        rng.shuffle(spare)
+        extra.append(spare[0])
+        bad = rng.randrange(4)
+        if bad == 1:
+            extra.append(FieldAxis("library.test[t_none].patterns",
+                                   (1000, 2.5)))
+        for axis in extra:
+            axes.insert(rng.randrange(len(axes) + 1), axis)
+        if bad == 2:
+            i = rng.randrange(len(axes))
+            axes[i] = FieldAxis(axes[i].target, (*axes[i].values, -1.0))
+        axes.append(spare[1])
+        return SweepPlan(axes=tuple(axes))
     leaves = [c for c in system.root.walk()
               if not c.children and c is not system.root]
     if leaves and rng.random() < 0.5:
@@ -114,6 +243,16 @@ def _outcome(fn, *args):
 def test_run_sweep_matches_the_per_point_pipeline(seed, derive_outer):
     system = make_system(seed)
     plan = _random_plan(system, random.Random(seed), derive_outer)
+    assert (_outcome(run_sweep, system, plan)
+            == _outcome(naive_sweep, system, plan))
+
+
+@pytest.mark.parametrize("derive_outer", (True, False))
+@pytest.mark.parametrize("seed", range(16))
+def test_library_sweeps_match_the_per_point_pipeline(seed, derive_outer):
+    system = _with_spare_tests(make_system(seed))
+    plan = _random_plan(system, random.Random(seed), derive_outer,
+                        library_only=True)
     assert (_outcome(run_sweep, system, plan)
             == _outcome(naive_sweep, system, plan))
 
