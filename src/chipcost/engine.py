@@ -20,6 +20,7 @@ while fitting the die to its exposure field.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .derive import DerivedChip, DerivedSystem
@@ -205,7 +206,7 @@ def _entries_read(chip: DerivedChip, memo: dict) -> frozenset:
 
 
 def _evaluate_node(chip: DerivedChip, library: Library, path: str,
-                   memo: dict | None, moved: set | frozenset) -> NodeCosts:
+                   memo: dict | None, moved: Collection) -> NodeCosts:
     last = memo.get(id(chip)) if memo is not None else None
     if last is not None and last[0].isdisjoint(moved):
         return last[1]
@@ -281,7 +282,7 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
 
 
 def evaluate(ds: DerivedSystem, *, memo: dict | None = None,
-             moved: set | frozenset = frozenset()) -> CostReport:
+             moved: Collection = frozenset()) -> CostReport:
     """Roll the whole tree up into a report with a category breakdown.
 
     `memo`, a dict the caller keeps for one derived tree, holds each

@@ -6,17 +6,18 @@ rebuilds the pieces its values change and alters no other point's.
 Each axis is resolved once, when it is built; a value it cannot apply
 at a point is refused naming the axis.
 
-A point re-runs only the stages its values can change. When every axis
-is a library axis, a point starts from the last point's library,
-re-applies only the axes whose value index moved (an axis sets an
-absolute value, so the library is the one the base would give) and
-re-checks the entries the axes name; otherwise it starts from the base
-and its whole system is validated again. derive runs again only when
-an axis that reaches it moved since the last point: a split or chip
-axis, or a library axis on a field marked "derive" in the model;
-otherwise the point reuses the last derived tree with its own library,
-and a library-only sweep re-costs only the nodes whose subtree reads
-an entry a moved axis names (see engine.evaluate).
+A point re-runs only what its values can change. run_sweep keeps a
+stack of applied prefixes: entry k holds the library, tree, netlist and
+row cells once the first k axes are applied. A point cuts the stack
+back to the first axis whose value index moved and re-applies the axes
+from there on, so it holds what applying every value to the base gives.
+If that rebuilt the tree or the netlist, the point's whole system is
+validated again; otherwise only the library entries the re-applied axes
+name are. derive runs again only when an axis that reaches it moved
+since the last point: a split or chip axis, or a library axis on a
+field marked "derive" in the model; otherwise the point reuses the last
+derived tree with its own library and re-costs only the nodes whose
+subtree reads an entry a re-applied axis names (see engine.evaluate).
 
 The split axis divides one template chip into an n = m x m mesh of equal
 chiplets. Every mesh link and every boundary stub carries the template's
@@ -333,10 +334,10 @@ def sweep_columns(plan: SweepPlan) -> tuple[str, ...]:
 
 def run_sweep(base: ValidatedSystem, plan: SweepPlan,
               jobs: int = 1) -> list[tuple]:
-    """All rows of the cartesian product, in declaration order.
-
-    A library-only plan carries its library from point to point and
-    keeps evaluate's memo of node costs, emptied whenever derive runs.
+    """All rows of the cartesian product, in declaration order, built on
+    the stack of applied prefixes the module docstring describes. Values
+    are compared by index, since 0.0 == -0.0. A derived tree evaluated a
+    second time keeps evaluate's memo of node costs until derive runs.
 
     Points run serially whatever `jobs` asks for: a thread pool measured
     slower than one loop on every benchmark workload, since the points
@@ -350,41 +351,38 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
                 f"more than {MAX_SWEEP_POINTS} points once axis "
                 f"'{axis.column}' joins the product", "sweep")
     validate_system(base.root, base.nets, base.library)
-    # library axes alone keep the base tree and netlist, checked above,
-    # so their points re-check only the entries the axes name and start
-    # from the last point's library
-    entries = None
-    if all(isinstance(a, FieldAxis) and a.kind != "chip" for a in plan.axes):
-        entries = dict.fromkeys((a.kind, a.name) for a in plan.axes)
-    # the last derived tree, keyed by the indices of the point's values on
-    # the axes that reach derive (indices, since 0.0 == -0.0), and the
-    # last costs of its nodes (library axes alone)
-    key = tree = memo = last = None
+    # prefix[k]: (library, root, nets, cells) once the first k axes apply
+    prefix = [(base.library, base.root, base.nets, ())]
+    checked = (base.root, base.nets)    # the tree and nets last validated
+    last = (None,) * len(plan.axes)
+    # the last derived tree, keyed by the value indices of the axes that
+    # reach derive, and the last costs of its nodes
+    key = tree = memo = None
     rows = []
     for index in itertools.product(*(range(len(axis.points))
                                      for axis in plan.axes)):
-        if entries is None or last is None:
-            lib, root, nets = base.library, base.root, base.nets
-            last = (None,) * len(index)
-        # the entries named by the axes whose value index moved (indices,
-        # since 0.0 == -0.0)
-        moved = set()
-        cells = []
-        for axis, i, was in zip(plan.axes, index, last):
+        start = next(k for k, (i, was) in enumerate(zip(index, last))
+                     if i != was)
+        del prefix[start + 1:]
+        lib, root, nets, cells = prefix[start]
+        # the entries the re-applied library axes name, in axis order
+        entries = {}
+        for axis, i in zip(plan.axes[start:], index[start:]):
             value = axis.points[i]
-            cells.append(value)
             if isinstance(axis, FieldAxis):
-                if i != was:
-                    lib, root, nets = apply_field(lib, root, nets, axis,
-                                                  value)
-                    moved.add((axis.kind, axis.name))
+                lib, root, nets = apply_field(lib, root, nets, axis, value)
+                cells += (value,)
+                if axis.kind != "chip":
+                    entries[axis.kind, axis.name] = None
             else:
-                unsplit = root
-                lib, root, nets = apply_split(lib, root, nets, axis, value)
-                cells.append(next(c.core_area for c in unsplit.walk()
-                                  if c.name == axis.chip) / value)
-        if entries is None:
+                lib, split, nets = apply_split(lib, root, nets, axis, value)
+                cells += (value, next(c.core_area for c in root.walk()
+                                      if c.name == axis.chip) / value)
+                root = split
+            prefix.append((lib, root, nets, cells))
+        if root is not checked[0] or nets is not checked[1]:
             system = validate_system(root, nets, lib)
+            checked = (root, nets)
         else:
             for kind, name in entries:
                 validate_entry(kind,
@@ -393,29 +391,21 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
         point_key = tuple(i for i, axis in zip(index, plan.axes)
                           if axis.reaches_derive)
         if point_key != key:
-            # drop the old tree first: two large ones are never held
+            # drop the old tree first: two large ones are never held; a
+            # memo pays only from a tree's second evaluation on
             tree = None
             tree = derive(system)
             key = point_key
-            memo = None if entries is None else {}
+            memo = None
+        elif memo is None:
+            memo = {}
         last = index
         report = evaluate(DerivedSystem(system=system, matrices=tree.matrices,
                                         root=tree.root),
-                          memo=memo, moved=moved)
-        cells.extend([
-            report.cost_total,
-            report.breakdown["silicon"],
-            report.breakdown["assembly"],
-            report.breakdown["test"],
-            report.breakdown["scrap"],
-            report.breakdown["nre"],
-            report.root.yield_chip,
-            report.root.quality_shipped,
-            report.root.area,
-            report.root.power,
-            report.infeasible,
-        ])
-        rows.append(tuple(cells))
+                          memo=memo, moved=entries)
+        rows.append((*cells, report.cost_total, *report.breakdown.values(),
+                     report.root.yield_chip, report.root.quality_shipped,
+                     report.root.area, report.root.power, report.infeasible))
     return rows
 
 

@@ -24,7 +24,7 @@ from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, apply_field, \
     apply_split
 from conftest import config_path
 from gensys import check_invariants, make_system
-from oracles import grid_family_oracle, stitch_layout_edges
+from oracles import grid_family_oracle, naive_sweep, stitch_layout_edges
 from test_fixture_oracle import spreadsheet
 
 
@@ -266,8 +266,10 @@ def test_library_sweeps_recheck_only_the_entries_their_axes_name(
     checked.clear()
     rows = cc.run_sweep(gp_system, SweepPlan(axes=_FIELD_SWEEP_AXES))
     assert len(rows) == 864
-    # the six axes name four library entries, of the library's ten
-    assert len(checked) == base + 864 * 4
+    # a point re-checks the entries named by the axes from the first one
+    # that moved, of the library's ten: 2 x 4 + 10 x 3 + 36 x 2 + 96 x 2
+    # + 288 x 1 + 432 x 1 = 1,022; re-checking all four takes 3,456
+    assert len(checked) == base + 1022
 
 
 def test_library_sweeps_recost_only_the_subtrees_a_point_changed(
@@ -289,6 +291,34 @@ def test_library_sweeps_recost_only_the_subtrees_a_point_changed(
     assert len(rows) == 864
     # costing all 17 nodes at every point takes 864 x 17 = 14,688
     assert len(costed) <= 14_688 // 4
+
+
+def test_library_axes_inside_a_split_recheck_and_recost_little(
+        gp_system, monkeypatch):
+    validated = []
+    costed = []
+
+    def validate(*args):
+        validated.append(args)
+        return cc.validate_system(*args)
+
+    def cost(chip, library):
+        costed.append(chip.spec.name)
+        return die_cost(chip, library)
+
+    monkeypatch.setattr("chipcost.sweep.validate_system", validate)
+    monkeypatch.setattr("chipcost.engine.die_cost", cost)
+    plan = SweepPlan(axes=(
+        SplitAxis(chip="tile", counts=(1, 16), side_bandwidth=1024.0,
+                  io_type="mesh_link"),
+        *_FIELD_SWEEP_AXES[1:]))
+    rows = cc.run_sweep(gp_system, plan)
+    assert len(rows) == 864
+    # the base, then each split's tree once
+    assert len(validated) == 3
+    # costing every node at every point takes 432 x (2 + 17) = 8,208
+    assert len(costed) <= 8_208 // 3
+    assert rows == naive_sweep(gp_system, plan)
 
 
 @pytest.mark.parametrize("rx_values, code", [("0.07", 0), ("0.07,0.08", 2)])

@@ -194,7 +194,11 @@ def _random_plan(system: cc.ValidatedSystem, rng: random.Random,
     A library-only plan, on a system from _with_spare_tests, adds two axes
     on one entry and one each on 't_root' and 't_none', one of these two
     innermost; it sometimes holds a value that cannot be applied or is
-    out of range."""
+    out of range.
+
+    Either plan sometimes repeats a field axis's target later on, with
+    one of its values alone: the later axis sets that value at every
+    point."""
     quiet = [FieldAxis(t, v) for t, v, d in _LIBRARY_AXES if not d]
     loud = [FieldAxis(t, v) for t, v, d in _LIBRARY_AXES if d]
     axes = rng.sample(quiet, 2)
@@ -217,7 +221,7 @@ def _random_plan(system: cc.ValidatedSystem, rng: random.Random,
             i = rng.randrange(len(axes))
             axes[i] = FieldAxis(axes[i].target, (*axes[i].values, -1.0))
         axes.append(spare[1])
-        return SweepPlan(axes=tuple(axes))
+        return _maybe_repeat(axes, rng)
     leaves = [c for c in system.root.walk()
               if not c.children and c is not system.root]
     if leaves and rng.random() < 0.5:
@@ -228,6 +232,17 @@ def _random_plan(system: cc.ValidatedSystem, rng: random.Random,
         axes.insert(rng.randrange(len(axes) + 1), SplitAxis(
             chip=rng.choice(leaves).name, counts=(1, 4),
             side_bandwidth=64.0, io_type="io0"))
+    return _maybe_repeat(axes, rng)
+
+
+def _maybe_repeat(axes: list, rng: random.Random) -> SweepPlan:
+    """axes as a plan, half the time with a later, single-valued axis on
+    the target of an earlier field axis."""
+    if rng.random() < 0.5:
+        fields = [i for i, a in enumerate(axes) if isinstance(a, FieldAxis)]
+        i = rng.choice(fields)
+        axes.insert(rng.randrange(i + 1, len(axes) + 1), FieldAxis(
+            axes[i].target, (rng.choice(axes[i].values),)))
     return SweepPlan(axes=tuple(axes))
 
 
@@ -268,6 +283,35 @@ def test_a_chip_axis_and_a_split_between_library_axes(gp_system):
         FieldAxis("library.assembly[hybrid_25d].bonding_pitch", (0.1, 0.2)),
     ))
     assert run_sweep(gp_system, plan) == naive_sweep(gp_system, plan)
+
+
+_DENSITY = "library.layer[cmos_3nm].defect_density"
+_SPLIT = SplitAxis(chip="tile", counts=(1, 4), side_bandwidth=1024.0,
+                   io_type="mesh_link")
+_CORE_AREA = "system.chip[tile_0_0].core_area"
+
+
+@pytest.mark.parametrize("axes", [
+    # library axes alone
+    (FieldAxis(_DENSITY, (0.001, 0.002)),
+     FieldAxis("library.test[tile_scan].fault_coverage", (0.9, 1.0)),
+     FieldAxis(_DENSITY, (0.004,))),
+    # with a split and a chip axis, repeating a library or a chip target
+    (FieldAxis(_DENSITY, (0.001, 0.002)), _SPLIT,
+     FieldAxis(_CORE_AREA, (25.0, 40.0)),
+     FieldAxis("library.test[tile_scan].fault_coverage", (0.9, 1.0)),
+     FieldAxis(_DENSITY, (0.004,))),
+    (_SPLIT, FieldAxis(_CORE_AREA, (25.0, 40.0)),
+     FieldAxis(_DENSITY, (0.001, 0.002)), FieldAxis(_CORE_AREA, (30.0,))),
+])
+def test_a_later_axis_on_the_same_target_wins_at_every_point(gp_system,
+                                                            axes):
+    plan = SweepPlan(axes=axes)
+    rows = run_sweep(gp_system, plan)
+    assert rows == naive_sweep(gp_system, plan)
+    if axes[0].column == _DENSITY:      # the first axis no longer matters
+        half = len(rows) // 2
+        assert rows[:half] == [(0.001, *row[1:]) for row in rows[half:]]
 
 
 @pytest.mark.parametrize("bidirectional", (False, True))

@@ -270,6 +270,23 @@ class TestSweepExecution:
             (400.0, 1, 400.0), (400.0, 4, 100.0),
             (800.0, 1, 800.0), (800.0, 4, 200.0)]
 
+    def test_a_later_axis_on_the_same_field_sets_every_row(self, tmp_path,
+                                                           capsys):
+        density = "library.layer[cmos_3nm].defect_density"
+        sweep = sweep_xml(tmp_path,
+                          f'<param target="{density}" values="0.001,0.002"/>'
+                          f'<param target="{density}" values="0.004"/>')
+        gp = "graph_processor"
+        code = main(["sweep",
+                     "--library", config_path(gp, "library.xml"),
+                     "--system", config_path(gp, "system.xml"),
+                     "--netlist", config_path(gp, "netlist.xml"),
+                     "--sweep", sweep])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()[2:]
+        assert [ln.split(",")[:3] for ln in lines] == [
+            ["0.001", "0.004", "1361.00168"], ["0.002", "0.004", "1361.00168"]]
+
     def test_split_column_layout(self, tmp_path):
         path = sweep_xml(tmp_path, '<split chip="tile" counts="1,4"'
                                    ' side_bandwidth="64" io="mesh_link"/>')
@@ -416,6 +433,8 @@ class TestBadInputExits2:
          "<param system.chip[gpu].core_area>: no chip named 'gpu'"),
         ('<split chip="tile" counts="4" side_bandwidth="1024" io="nope"/>',
          "<split tile>: unknown io type 'nope'"),
+        ('<split chip="gpu" counts="4" side_bandwidth="1024"'
+         ' io="mesh_link"/>', "<split gpu>: no chip named 'gpu' to split"),
         ('<param target="library.io[mesh_link].wires_per_instance"'
          ' values="1.5"/>', "field 'wires_per_instance'"),
         # size caps, checked before any point is built
