@@ -1,23 +1,33 @@
 """Parameter sweeps: scalar field axes and the homogeneous split axis.
 
-A sweep is a cartesian product over axes in document order, and points
-run one after another. The models are frozen dataclasses: a point
-rebuilds the pieces its values change and alters no other point's.
-Each axis is resolved once, when it is built; a value it cannot apply
-at a point is refused naming the axis.
+A sweep is a cartesian product over axes, and points run one after
+another. The models are frozen dataclasses: a point rebuilds the pieces
+its values change and alters no other point's. Each axis is resolved
+once, when it is built; a value it cannot apply at a point is refused
+naming the axis.
+
+Points are visited derive-major: every axis that reaches derive (a
+split or chip axis, or a library axis on a field marked "derive" in the
+model) outermost, then every other axis, each group in declaration
+order. A library axis derive does not read commutes with every axis
+that does: the two set different fields, a chip axis never reads the
+library, and apply_split reads only the names of the IO cells. So every
+point holds what applying its values to the base in declaration order
+gives. Rows and their cells stay in declaration order, and a failing
+sweep reports the first failing point in declaration order.
 
 A point re-runs only what its values can change. run_sweep keeps a
 stack of applied prefixes: entry k holds the library, tree, netlist and
-row cells once the first k axes are applied. A point cuts the stack
-back to the first axis whose value index moved and re-applies the axes
-from there on, so it holds what applying every value to the base gives.
-If that rebuilt the tree or the netlist, the point's whole system is
-validated again; otherwise only the library entries the re-applied axes
-name are. derive runs again only when an axis that reaches it moved
-since the last point: a split or chip axis, or a library axis on a
-field marked "derive" in the model; otherwise the point reuses the last
-derived tree with its own library and re-costs only the nodes whose
-subtree reads an entry a re-applied axis names (see engine.evaluate).
+row cells once the first k visited axes are applied. A point cuts the
+stack back to the first axis whose value index moved and re-applies the
+axes from there on. If that rebuilt the tree or the netlist, the
+point's whole system is validated again; otherwise only the library
+entries the re-applied axes name are, in validate_library's order.
+derive runs again only when an axis that reaches it moved, so each
+derived tree is built once; the points that share it re-cost only the
+nodes whose subtree reads an entry a re-applied axis names (see
+engine.evaluate), through a memo of its node costs kept when three or
+more points share the tree.
 
 The split axis divides one template chip into an n = m x m mesh of equal
 chiplets. Every mesh link and every boundary stub carries the template's
@@ -36,7 +46,7 @@ from dataclasses import dataclass
 
 from .derive import DerivedSystem, derive
 from .engine import evaluate
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
                     ValidatedSystem, derive_fields, field_kinds,
                     validate_entry, validate_system)
@@ -334,10 +344,11 @@ def sweep_columns(plan: SweepPlan) -> tuple[str, ...]:
 
 def run_sweep(base: ValidatedSystem, plan: SweepPlan,
               jobs: int = 1) -> list[tuple]:
-    """All rows of the cartesian product, in declaration order, built on
-    the stack of applied prefixes the module docstring describes. Values
-    are compared by index, since 0.0 == -0.0. A derived tree evaluated a
-    second time keeps evaluate's memo of node costs until derive runs.
+    """All rows of the cartesian product, each at its declaration-order
+    position with its cells in declaration order, visited derive-major
+    as the module docstring describes. If that walk fails, the same walk
+    runs again in declaration order, so the error is the one the first
+    failing point in declaration order raises.
 
     Points run serially whatever `jobs` asks for: a thread pool measured
     slower than one loop on every benchmark workload, since the points
@@ -351,24 +362,57 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
                 f"more than {MAX_SWEEP_POINTS} points once axis "
                 f"'{axis.column}' joins the product", "sweep")
     validate_system(base.root, base.nets, base.library)
-    # prefix[k]: (library, root, nets, cells) once the first k axes apply
-    prefix = [(base.library, base.root, base.nets, ())]
+    order = sorted(range(len(plan.axes)),
+                   key=lambda k: not plan.axes[k].reaches_derive)
+    try:
+        return _walk(base, plan, order)
+    except ConfigError:
+        if order == sorted(order):
+            raise
+    return _walk(base, plan, range(len(plan.axes)))
+
+
+def _walk(base: ValidatedSystem, plan: SweepPlan,
+          order: list[int] | range) -> list[tuple]:
+    """run_sweep's rows, visiting the product with plan.axes[order[0]]
+    outermost, on the stack of applied prefixes. Values are compared by
+    index, since 0.0 == -0.0."""
+    axes = [plan.axes[k] for k in order]
+    # a row's position: its value indices in declaration order
+    stride = [math.prod(len(a.points) for a in plan.axes[k + 1:])
+              for k in order]
+    # the declaration index of each cell in visiting order (a split has
+    # two); a stable sort by it puts a row's cells in declaration order
+    owner = [k for k in order
+             for _ in range(1 + isinstance(plan.axes[k], SplitAxis))]
+    perm = sorted(range(len(owner)), key=owner.__getitem__)
+    # validate_library's order: library kind, then place in its table
+    rank = {(kind, name): (i, j)
+            for i, (kind, (attr, _, _)) in enumerate(LIBRARY_KINDS.items())
+            for j, name in enumerate(getattr(base.library, attr))}
+    # points in a row that share one derived tree: a memo of its node
+    # costs, filled at the second, pays only from the third
+    share = math.prod(len(a.points) for a in itertools.takewhile(
+        lambda a: not a.reaches_derive, reversed(axes)))
+    # prefix[k]: (library, root, nets, cells, row position) once the
+    # first k axes apply
+    prefix = [(base.library, base.root, base.nets, (), 0)]
     checked = (base.root, base.nets)    # the tree and nets last validated
-    last = (None,) * len(plan.axes)
+    last = (None,) * len(axes)
     # the last derived tree, keyed by the value indices of the axes that
     # reach derive, and the last costs of its nodes
     key = tree = memo = None
-    rows = []
-    for index in itertools.product(*(range(len(axis.points))
-                                     for axis in plan.axes)):
+    rows = [None] * math.prod(len(a.points) for a in axes)
+    for index in itertools.product(*(range(len(a.points)) for a in axes)):
         start = next(k for k, (i, was) in enumerate(zip(index, last))
                      if i != was)
         del prefix[start + 1:]
-        lib, root, nets, cells = prefix[start]
-        # the entries the re-applied library axes name, in axis order
-        entries = {}
-        for axis, i in zip(plan.axes[start:], index[start:]):
+        lib, root, nets, cells, pos = prefix[start]
+        entries = {}    # the entries the re-applied library axes name
+        for axis, i, step in zip(axes[start:], index[start:],
+                                 stride[start:]):
             value = axis.points[i]
+            pos += i * step
             if isinstance(axis, FieldAxis):
                 lib, root, nets = apply_field(lib, root, nets, axis, value)
                 cells += (value,)
@@ -379,34 +423,40 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
                 cells += (value, next(c.core_area for c in root.walk()
                                       if c.name == axis.chip) / value)
                 root = split
-            prefix.append((lib, root, nets, cells))
+            prefix.append((lib, root, nets, cells, pos))
         if root is not checked[0] or nets is not checked[1]:
             system = validate_system(root, nets, lib)
             checked = (root, nets)
         else:
-            for kind, name in entries:
+            for kind, name in sorted(entries, key=rank.__getitem__):
                 validate_entry(kind,
                                getattr(lib, LIBRARY_KINDS[kind][0])[name])
             system = ValidatedSystem(root=root, nets=nets, library=lib)
-        point_key = tuple(i for i, axis in zip(index, plan.axes)
+        point_key = tuple(i for i, axis in zip(index, axes)
                           if axis.reaches_derive)
         if point_key != key:
-            # drop the old tree first: two large ones are never held; a
-            # memo pays only from a tree's second evaluation on
+            # drop the old tree first: two large ones are never held
             tree = None
             tree = derive(system)
             key = point_key
             memo = None
-        elif memo is None:
+        elif memo is None and share >= 3:
             memo = {}
         last = index
-        report = evaluate(DerivedSystem(system=system, matrices=tree.matrices,
-                                        root=tree.root),
-                          memo=memo, moved=entries)
-        rows.append((*cells, report.cost_total, *report.breakdown.values(),
-                     report.root.yield_chip, report.root.quality_shipped,
-                     report.root.area, report.root.power, report.infeasible))
+        rows[pos] = _row(
+            map(cells.__getitem__, perm),
+            evaluate(DerivedSystem(system=system, matrices=tree.matrices,
+                                   root=tree.root),
+                     memo=memo, moved=entries))
     return rows
+
+
+def _row(cells, report) -> tuple:
+    """One CSV row; the report is dropped once it is built, so two large
+    ones are never held."""
+    return (*cells, report.cost_total, *report.breakdown.values(),
+            report.root.yield_chip, report.root.quality_shipped,
+            report.root.area, report.root.power, report.infeasible)
 
 
 def sweep_to_csv(plan: SweepPlan, rows: list[tuple]) -> str:

@@ -230,7 +230,10 @@ def derive_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("position, derives", [(0, 2), (2, 48), (5, 864)])
+# points are visited with the axes that reach derive outermost, wherever
+# they are declared: declared third, the IO axis would take 48 derives in
+# declaration order, and declared last 864
+@pytest.mark.parametrize("position, derives", [(0, 2), (2, 2), (5, 2)])
 def test_sweeps_derive_once_per_run_of_equal_derive_values(
         gp_system, derive_calls, position, derives):
     axes = list(_FIELD_SWEEP_AXES[1:])
@@ -249,7 +252,36 @@ def test_sweeps_derive_at_most_once_per_point(gp_system, derive_calls):
         FieldAxis("library.test[tile_scan].fault_coverage", (0.9, 1.0)),
     ))
     rows = cc.run_sweep(gp_system, plan)
-    assert len(derive_calls) == len(rows) // 2
+    assert len(rows) == 16
+    # once per split x quantity, the two axes that reach derive
+    assert len(derive_calls) == 4
+
+
+def test_a_defect_sweep_builds_each_split_once(gp_system, derive_calls,
+                                               monkeypatch):
+    # the shipped defect-density study declares its library axis outside
+    # the split: in declaration order every one of its 24 points would
+    # split, validate and derive a tree built one density earlier
+    splits = []
+    validated = []
+
+    def split(*args):
+        splits.append(args)
+        return apply_split(*args)
+
+    def validate(*args):
+        validated.append(args)
+        return cc.validate_system(*args)
+
+    monkeypatch.setattr("chipcost.sweep.apply_split", split)
+    monkeypatch.setattr("chipcost.sweep.validate_system", validate)
+    plan = cc.parse_sweep(config_path("graph_processor", "defect_sweep.xml"))
+    rows = cc.run_sweep(gp_system, plan)
+    assert len(rows) == 24
+    assert len(splits) == 8
+    assert len(validated) == 1 + 8       # the base, then each split's tree
+    assert len(derive_calls) == 8
+    assert rows == naive_sweep(gp_system, plan)
 
 
 def test_library_sweeps_recheck_only_the_entries_their_axes_name(

@@ -314,6 +314,36 @@ def test_a_later_axis_on_the_same_target_wins_at_every_point(gp_system,
         assert rows[:half] == [(0.001, *row[1:]) for row in rows[half:]]
 
 
+_COVERAGE = "library.test[tile_scan].fault_coverage"
+
+
+@pytest.mark.parametrize("axes", [
+    (FieldAxis(_COVERAGE, (1.5,)), FieldAxis(_DENSITY, (-1.0,))),
+    (FieldAxis(_DENSITY, (-1.0,)), FieldAxis(_COVERAGE, (1.5,))),
+])
+def test_a_point_that_breaks_two_entries_names_them_in_library_order(
+        gp_system, axes):
+    # validate_library checks layers before tests, whatever the axis order
+    plan = SweepPlan(axes=axes)
+    outcome = _outcome(run_sweep, gp_system, plan)
+    assert outcome == _outcome(naive_sweep, gp_system, plan)
+    assert "layer 'cmos_3nm'" in outcome[1]
+
+
+@pytest.mark.parametrize("chip_axis", [
+    FieldAxis("system.chip[tile].core_area", (100.0, -5.0)),
+    FieldAxis("system.chip[tile].quantity", (100, 2.5)),
+])
+def test_a_failing_sweep_names_its_first_failing_point_in_declaration_order(
+        gp_system, chip_axis):
+    # visited with the chip axis outermost, the layer's -1 fails first; in
+    # declaration order the chip axis's second value fails first
+    plan = SweepPlan(axes=(FieldAxis(_DENSITY, (0.01, -1.0)), chip_axis))
+    outcome = _outcome(run_sweep, gp_system, plan)
+    assert outcome == _outcome(naive_sweep, gp_system, plan)
+    assert outcome[0] == "error" and "layer" not in outcome[1]
+
+
 @pytest.mark.parametrize("bidirectional", (False, True))
 def test_an_omitted_rx_area_follows_a_swept_tx_area(gp_system,
                                                     bidirectional):

@@ -466,6 +466,24 @@ class TestBadInputExits2:
                             config="coverage_study")
         self.assert_exits_2(proc, named)
 
+    @pytest.mark.parametrize("field, values, named", [
+        ("core_area", "100,-5",
+         "chip 'tile': core_area must be >= 0, got -5.0"),
+        ("quantity", "100,200.5", "<param system.chip[tile].quantity>"),
+    ])
+    def test_the_first_failing_point_in_declaration_order_is_named(
+            self, tmp_path, field, values, named):
+        # the chip axis is visited outermost, where the layer's -1 fails
+        # first; in declaration order the chip axis's second value does
+        body = ('<param target="library.layer[cmos_3nm].defect_density"'
+                ' values="0.01,-1"/>'
+                f'<param target="system.chip[tile].{field}"'
+                f' values="{values}"/>')
+        proc = self.run_cli(sweep_xml(tmp_path, body),
+                            "--out", str(tmp_path / "rows.csv"))
+        self.assert_exits_2(proc, named)
+        assert "layer 'cmos_3nm'" not in proc.stderr
+
     @pytest.mark.parametrize("target", [
         "library.layer[cmos_3nm].nosuch",
         # a flag is a field, but not one a sweep can set to a number
