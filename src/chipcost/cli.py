@@ -1,9 +1,10 @@
 """Command line entry points.
 
 Exit codes: 0 on success, 2 on any configuration problem (bad XML,
-failed validation, unresolved references), 3 when the system is valid
-but infeasible (infinite cost); the report is still written in that
-case so the infeasible nodes can be inspected.
+failed validation, unresolved references, an --out that cannot be
+written), 3 when the system is valid but infeasible (infinite cost);
+the report is still written in that case so the infeasible nodes can
+be inspected.
 """
 from __future__ import annotations
 
@@ -46,8 +47,11 @@ def _jobs(text: str) -> int:
 
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write: {exc.strerror}", out_path)
     else:
         sys.stdout.write(text)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .model import (AssemblyProcessDef, ChipSpec, IODefinition, Library,
-                    NetSpec, TestProcessDef, ValidatedSystem,
+                    NetSpec, TestProcessDef, Tree, ValidatedSystem,
                     WaferProcessDef)
 from .wafer import ReticleFit, reticle_fit
 
@@ -70,7 +70,7 @@ class ConnectionMatrices:
 
 
 @dataclass(frozen=True)
-class DerivedChip:
+class DerivedChip(Tree):
     """A chip with its physical quantities resolved."""
 
     spec: ChipSpec
@@ -90,11 +90,6 @@ class DerivedChip:
     n_bonded_pins: int      # pads on the face bonded to the parent
     grown_for_pads: bool
     fit: ReticleFit         # the die on its process's exposure field
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
 
 @dataclass(frozen=True)

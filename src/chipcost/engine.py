@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .derive import DerivedChip, DerivedSystem
 from .model import (AssemblyProcessDef, ChipSpec, LayerDef, Library,
-                    TestProcessDef, WaferProcessDef, ref_fields)
+                    TestProcessDef, Tree, WaferProcessDef, ref_fields)
 from .wafer import dies_per_wafer
 
 INF = math.inf
@@ -143,7 +143,7 @@ def nre_cost_self(chip: DerivedChip, library: Library) -> float:
 
 
 @dataclass(frozen=True)
-class NodeCosts:
+class NodeCosts(Tree):
     """Cost and yield numbers for one chip, children included in the
     recurring figures."""
 
@@ -170,11 +170,6 @@ class NodeCosts:
     quality_shipped: float
     infeasible: bool
     children: tuple[NodeCosts, ...]
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,22 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
 FRACTION_TOL = 1e-9
+
+
+class Tree:
+    """A node whose `children` are nodes of its kind: a chip, a derived
+    chip, a chip's costs. walk() yields it and every node below, pre-order."""
+
+    def walk(self):
+        yield self
+        for child in self.children:
+            yield from child.walk()
 
 
 @dataclass(frozen=True)
@@ -182,7 +193,7 @@ class NetSpec:
 
 
 @dataclass(frozen=True)
-class ChipSpec:
+class ChipSpec(Tree):
     """A node of the physical hierarchy: die, interposer, or board.
 
     Children are the dies stacked on (or buried in) this chip. A chip with
@@ -216,11 +227,6 @@ class ChipSpec:
     # sunk into the parent, no stack footprint
     buried: bool = field(default=False, metadata={"sparse": True})
     children: tuple[ChipSpec, ...] = field(default_factory=tuple)
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
 
 @dataclass(frozen=True)
@@ -330,19 +336,18 @@ LIBRARY_KINDS = {
 }
 
 
-def validate_entry(tag: str, entry) -> None:
-    """One library entry's field ranges, then its kind's cross-field rule."""
-    ctx = f"{tag} '{entry.name}'"
-    check_fields(entry, ctx)
-    check = LIBRARY_KINDS[tag][2]
-    if check is not None:
-        check(entry, ctx)
-
-
-def validate_library(lib: Library) -> Library:
-    for tag, (attr, _, _) in LIBRARY_KINDS.items():
-        for entry in getattr(lib, attr).values():
-            validate_entry(tag, entry)
+def validate_library(lib: Library, only: Collection | None = None) -> Library:
+    """Each entry's field ranges, then its kind's cross-field rule, by
+    kind as LIBRARY_KINDS lists them and then in table order. `only`,
+    (kind, name) pairs, limits the checks to those entries, in the same
+    order, so the first broken one is named either way."""
+    for tag, (attr, _, check) in LIBRARY_KINDS.items():
+        for name, entry in getattr(lib, attr).items():
+            if only is None or (tag, name) in only:
+                ctx = f"{tag} '{entry.name}'"
+                check_fields(entry, ctx)
+                if check is not None:
+                    check(entry, ctx)
     return lib
 
 

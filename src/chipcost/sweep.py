@@ -6,26 +6,28 @@ its values change and alters no other point's. Each axis is resolved
 once, when it is built; a value it cannot apply at a point is refused
 naming the axis.
 
-Points are visited derive-major: every axis that reaches derive (a
-split or chip axis, or a library axis on a field marked "derive" in the
-model) outermost, then every other axis, each group in declaration
-order. A library axis derive does not read commutes with every axis
-that does: the two set different fields, a chip axis never reads the
-library, and apply_split reads only the names of the IO cells. So every
-point holds what applying its values to the base in declaration order
-gives. Rows and their cells stay in declaration order, and a failing
-sweep reports the first failing point in declaration order.
+Each axis has a stage, the earliest one its values change: TREE for a
+chip or split axis, DERIVE for a library field marked "derive" in the
+model, COST for any other library field. Points are visited
+stage-major: the axes sorted by stage, stably, so TREE axes are
+outermost and COST axes innermost, each group in declaration order. An
+axis commutes with every axis of an earlier stage: the two set
+different fields, a chip axis never reads the library, and apply_split
+reads only the names of the IO cells. So every point holds what
+applying its values to the base in declaration order gives. Rows and
+their cells stay in declaration order, and a failing sweep reports the
+first failing point in declaration order.
 
 A point re-runs only what its values can change. run_sweep keeps a
 stack of applied prefixes: entry k holds the library, tree, netlist and
 row cells once the first k visited axes are applied. A point cuts the
-stack back to the first axis whose value index moved and re-applies the
-axes from there on. If that rebuilt the tree or the netlist, the
-point's whole system is validated again; otherwise only the library
-entries the re-applied axes name are, in validate_library's order.
-derive runs again only when an axis that reaches it moved, so each
-derived tree is built once; the points that share it re-cost only the
-nodes whose subtree reads an entry a re-applied axis names (see
+stack back to the first axis whose value index moved, re-applies the
+axes from there on, and re-runs every stage from the earliest stage of
+those axes; the first point runs them all. TREE validates the whole
+system; a later stage re-checks only the library entries the re-applied
+axes name, in validate_library's order. TREE and DERIVE derive the tree
+again, so each derived tree is built once. At COST a point re-costs only
+the nodes whose subtree reads an entry a re-applied axis names (see
 engine.evaluate), through a memo of its node costs kept when three or
 more points share the tree.
 
@@ -48,8 +50,8 @@ from .derive import DerivedSystem, derive
 from .engine import evaluate
 from .errors import ConfigError, ValidationError
 from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
-                    ValidatedSystem, derive_fields, field_kinds,
-                    validate_entry, validate_system)
+                    ValidatedSystem, check_fields, derive_fields,
+                    field_kinds, validate_library, validate_system)
 from .report import SCHEMA_VERSION, format_value
 from .xmlio import (_Attrs, _parse_fields, _parse_xml, parse_number,
                     to_integer)
@@ -60,6 +62,9 @@ MAX_SWEEP_POINTS = 1_000_000
 # Most tiles one <split> count may ask for: each point builds them all.
 MAX_SPLIT_TILES = 16_384
 
+# An axis's stage: the earliest one its values change (see above).
+TREE, DERIVE, COST = range(3)
+
 _TARGET_RE = re.compile(
     rf"^(?:library\.({'|'.join(LIBRARY_KINDS)})|system\.chip)"
     r"\[([^\]]+)\]\.(\w+)$")
@@ -69,8 +74,8 @@ _TARGET_RE = re.compile(
 class FieldAxis:
     """A <param> axis. Its target is resolved when the axis is built into
     `kind` (the library tag or "chip"), `name` (the entry or chip name,
-    "*" for every chip), `field`, `is_int` and `reaches_derive` (whether
-    derive reads the field); a bad target, an unknown field or one that
+    "*" for every chip), `field`, `is_int` and `stage` (the earliest
+    stage the field changes); a bad target, an unknown field or one that
     holds no number is refused there. Errors name `context`, which is
     "<param target>" unless the caller gives one."""
 
@@ -93,7 +98,8 @@ class FieldAxis:
         self.__dict__.update(
             context=ctx, kind=kind, name=name, field=field,
             is_int=field_kinds(cls)[field] is int,
-            reaches_derive=kind == "chip" or field in derive_fields(cls))
+            stage=TREE if kind == "chip" else
+            DERIVE if field in derive_fields(cls) else COST)
 
     @property
     def column(self) -> str:
@@ -106,16 +112,18 @@ class FieldAxis:
 
 @dataclass(frozen=True)
 class SplitAxis:
-    """A <split> element; its attributes are read like the model's."""
+    """A <split> element; its attributes are read and checked like the
+    model's."""
 
     chip: str
     counts: tuple[int, ...]
-    side_bandwidth: float
+    side_bandwidth: float = dataclasses.field(metadata={"check": "> 0"})
     io_type: str = dataclasses.field(metadata={"attr": "io"})
     external_prefix: str = dataclasses.field(default="edge",
                                              metadata={"attr": "external"})
-    utilization: float = 1.0
-    reaches_derive = True     # a split rebuilds the tree
+    utilization: float = dataclasses.field(default=1.0,
+                                           metadata={"check": "[0, 1]"})
+    stage = TREE              # a split rebuilds the tree
 
     @property
     def context(self) -> str:
@@ -212,9 +220,11 @@ def parse_sweep(path: str) -> SweepPlan:
                    else _parse_range(range_, ctx))
             axes.append(FieldAxis(target=target, values=pts, context=ctx))
         elif elem.tag == "split":
-            counts = _parse_counts(elem.get("counts", ""), path)
-            axes.append(_parse_fields(SplitAxis, elem, f"{path}: <split>",
-                                      counts=counts))
+            ctx = f"{path}: <split>"
+            split = _parse_fields(SplitAxis, elem, ctx, counts=_parse_counts(
+                elem.get("counts", ""), path))
+            check_fields(split, ctx)
+            axes.append(split)
         else:
             raise ValidationError(f"unknown sweep element <{elem.tag}>", path)
     if not axes:
@@ -345,7 +355,7 @@ def sweep_columns(plan: SweepPlan) -> tuple[str, ...]:
 def run_sweep(base: ValidatedSystem, plan: SweepPlan,
               jobs: int = 1) -> list[tuple]:
     """All rows of the cartesian product, each at its declaration-order
-    position with its cells in declaration order, visited derive-major
+    position with its cells in declaration order, visited stage-major
     as the module docstring describes. If that walk fails, the same walk
     runs again in declaration order, so the error is the one the first
     failing point in declaration order raises.
@@ -361,9 +371,7 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
             raise ValidationError(
                 f"more than {MAX_SWEEP_POINTS} points once axis "
                 f"'{axis.column}' joins the product", "sweep")
-    validate_system(base.root, base.nets, base.library)
-    order = sorted(range(len(plan.axes)),
-                   key=lambda k: not plan.axes[k].reaches_derive)
+    order = sorted(range(len(plan.axes)), key=lambda k: plan.axes[k].stage)
     try:
         return _walk(base, plan, order)
     except ConfigError:
@@ -386,26 +394,23 @@ def _walk(base: ValidatedSystem, plan: SweepPlan,
     owner = [k for k in order
              for _ in range(1 + isinstance(plan.axes[k], SplitAxis))]
     perm = sorted(range(len(owner)), key=owner.__getitem__)
-    # validate_library's order: library kind, then place in its table
-    rank = {(kind, name): (i, j)
-            for i, (kind, (attr, _, _)) in enumerate(LIBRARY_KINDS.items())
-            for j, name in enumerate(getattr(base.library, attr))}
+    # the earliest stage a point re-runs once it re-applies axes[k:]
+    floor = [min(a.stage for a in axes[k:]) for k in range(len(axes))]
     # points in a row that share one derived tree: a memo of its node
     # costs, filled at the second, pays only from the third
     share = math.prod(len(a.points) for a in itertools.takewhile(
-        lambda a: not a.reaches_derive, reversed(axes)))
+        lambda a: a.stage == COST, reversed(axes)))
     # prefix[k]: (library, root, nets, cells, row position) once the
     # first k axes apply
     prefix = [(base.library, base.root, base.nets, (), 0)]
-    checked = (base.root, base.nets)    # the tree and nets last validated
     last = (None,) * len(axes)
-    # the last derived tree, keyed by the value indices of the axes that
-    # reach derive, and the last costs of its nodes
-    key = tree = memo = None
+    tree = memo = None
     rows = [None] * math.prod(len(a.points) for a in axes)
-    for index in itertools.product(*(range(len(a.points)) for a in axes)):
+    for n, index in enumerate(itertools.product(
+            *(range(len(a.points)) for a in axes))):
         start = next(k for k, (i, was) in enumerate(zip(index, last))
                      if i != was)
+        stage = floor[start] if n else TREE
         del prefix[start + 1:]
         lib, root, nets, cells, pos = prefix[start]
         entries = {}    # the entries the re-applied library axes name
@@ -424,21 +429,15 @@ def _walk(base: ValidatedSystem, plan: SweepPlan,
                                       if c.name == axis.chip) / value)
                 root = split
             prefix.append((lib, root, nets, cells, pos))
-        if root is not checked[0] or nets is not checked[1]:
+        if stage == TREE:
             system = validate_system(root, nets, lib)
-            checked = (root, nets)
         else:
-            for kind, name in sorted(entries, key=rank.__getitem__):
-                validate_entry(kind,
-                               getattr(lib, LIBRARY_KINDS[kind][0])[name])
-            system = ValidatedSystem(root=root, nets=nets, library=lib)
-        point_key = tuple(i for i, axis in zip(index, axes)
-                          if axis.reaches_derive)
-        if point_key != key:
+            system = ValidatedSystem(root=root, nets=nets,
+                                     library=validate_library(lib, entries))
+        if stage <= DERIVE:
             # drop the old tree first: two large ones are never held
             tree = None
             tree = derive(system)
-            key = point_key
             memo = None
         elif memo is None and share >= 3:
             memo = {}

@@ -279,7 +279,7 @@ def test_a_defect_sweep_builds_each_split_once(gp_system, derive_calls,
     rows = cc.run_sweep(gp_system, plan)
     assert len(rows) == 24
     assert len(splits) == 8
-    assert len(validated) == 1 + 8       # the base, then each split's tree
+    assert len(validated) == 8           # each split's tree, once
     assert len(derive_calls) == 8
     assert rows == naive_sweep(gp_system, plan)
 
@@ -298,10 +298,11 @@ def test_library_sweeps_recheck_only_the_entries_their_axes_name(
     checked.clear()
     rows = cc.run_sweep(gp_system, SweepPlan(axes=_FIELD_SWEEP_AXES))
     assert len(rows) == 864
-    # a point re-checks the entries named by the axes from the first one
-    # that moved, of the library's ten: 2 x 4 + 10 x 3 + 36 x 2 + 96 x 2
-    # + 288 x 1 + 432 x 1 = 1,022; re-checking all four takes 3,456
-    assert len(checked) == base + 1022
+    # the first point validates the whole system; every other point
+    # re-checks the entries named by the axes from the first one that
+    # moved, of the library's ten: 1 x 4 + 10 x 3 + 36 x 2 + 96 x 2
+    # + 288 x 1 + 432 x 1 = 1,018; re-checking all four takes 3,456
+    assert len(checked) == base + 1018
 
 
 def test_library_sweeps_recost_only_the_subtrees_a_point_changed(
@@ -346,10 +347,41 @@ def test_library_axes_inside_a_split_recheck_and_recost_little(
         *_FIELD_SWEEP_AXES[1:]))
     rows = cc.run_sweep(gp_system, plan)
     assert len(rows) == 864
-    # the base, then each split's tree once
-    assert len(validated) == 3
+    # each split's tree, once
+    assert len(validated) == 2
     # costing every node at every point takes 432 x (2 + 17) = 8,208
     assert len(costed) <= 8_208 // 3
+    assert rows == naive_sweep(gp_system, plan)
+
+
+def test_a_split_declared_inside_a_derive_axis_is_built_once_per_count(
+        gp_system, derive_calls, monkeypatch):
+    # visited stage-major, the split is outermost: in derive-major order
+    # the IO axis would stay outside it, and each of its 3 values would
+    # split and validate both counts again
+    splits = []
+    validated = []
+
+    def split(*args):
+        splits.append(args)
+        return apply_split(*args)
+
+    def validate(*args):
+        validated.append(args)
+        return cc.validate_system(*args)
+
+    monkeypatch.setattr("chipcost.sweep.apply_split", split)
+    monkeypatch.setattr("chipcost.sweep.validate_system", validate)
+    plan = SweepPlan(axes=(
+        FieldAxis("library.io[mesh_link].energy_per_bit", (0.5, 1.0, 2.0)),
+        SplitAxis(chip="tile", counts=(1, 16), side_bandwidth=1024.0,
+                  io_type="mesh_link"),
+        FieldAxis("library.test[tile_scan].fault_coverage", (0.9, 1.0))))
+    rows = cc.run_sweep(gp_system, plan)
+    assert len(rows) == 12
+    assert len(splits) == 2
+    assert len(validated) == 2
+    assert len(derive_calls) == 6       # once per count x energy
     assert rows == naive_sweep(gp_system, plan)
 
 

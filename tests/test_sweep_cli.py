@@ -383,15 +383,16 @@ class TestBadInputExits2:
     SPLIT = ('<split chip="tile" counts="{}" side_bandwidth="{}"'
              ' io="mesh_link"/>')
 
-    def run_cli(self, sweep, *extra, config="graph_processor"):
+    def run_cli(self, sweep, *extra, config="graph_processor",
+                command="sweep"):
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         return subprocess.run(
-            [sys.executable, "-m", "chipcost.cli", "sweep",
+            [sys.executable, "-m", "chipcost.cli", command,
              "--library", config_path(config, "library.xml"),
              "--system", config_path(config, "system.xml"),
              "--netlist", config_path(config, "netlist.xml"),
-             "--sweep", sweep, *extra],
+             *(("--sweep", sweep) if sweep else ()), *extra],
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=src))
 
@@ -418,6 +419,15 @@ class TestBadInputExits2:
          ' io="mesh_link" utilisation="0.5"/>', "utilisation"),
         ('<split chip="tile" counts="4" io="mesh_link"/>',
          "missing attribute 'side_bandwidth'"),
+        # and their ranges, before the first point builds a net from them
+        (SPLIT.format("4", "-5"), "<split>: side_bandwidth must be > 0"),
+        (SPLIT.format("4", "0"), "<split>: side_bandwidth must be > 0"),
+        ('<split chip="tile" counts="4" side_bandwidth="1024"'
+         ' io="mesh_link" utilization="2"/>',
+         "<split>: utilization must be [0, 1]"),
+        ('<split chip="tile" counts="4" side_bandwidth="1024"'
+         ' io="mesh_link" utilization="-1"/>',
+         "<split>: utilization must be [0, 1]"),
         # so are those of <param> and of the <sweep> root
         ('<param target="system.chip[tile].core_area" values="100,200"'
          ' step="5"/>', "step"),
@@ -499,6 +509,16 @@ class TestBadInputExits2:
     def test_missing_sweep_file(self, tmp_path):
         missing = str(tmp_path / "missing.xml")
         self.assert_exits_2(self.run_cli(missing), "missing.xml")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("out", ["", "missing/rows.csv"])
+    def test_unwritable_out(self, tmp_path, command, out):
+        # a directory, or a path whose parent directory does not exist
+        out = str(tmp_path / out)
+        sweep = (sweep_xml(tmp_path, self.SPLIT.format("1,4", "1024"))
+                 if command == "sweep" else None)
+        proc = self.run_cli(sweep, "--out", out, command=command)
+        self.assert_exits_2(proc, f"{out}: cannot write")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, tmp_path, jobs):
