@@ -1,6 +1,6 @@
 """Cost and yield modeling for chiplet and monolithic silicon systems."""
 
-from .derive import (ConnectionMatrices, DerivedChip, DerivedSystem, derive)
+from .derive import DerivedChip, DerivedSystem, derive
 from .engine import (CostReport, NodeCosts, assembly_cost, assembly_yield,
                      defect_yield, evaluate, layer_cost, nre_cost_self,
                      quality, test_cost, tested_yield)
@@ -20,8 +20,8 @@ from .xmlio import (parse_library, parse_netlist, parse_system,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyProcessDef", "ChipSpec", "ConfigError", "ConnectionMatrices",
-    "CostReport", "DerivedChip", "DerivedSystem", "DuplicateNameError",
+    "AssemblyProcessDef", "ChipSpec", "ConfigError", "CostReport",
+    "DerivedChip", "DerivedSystem", "DuplicateNameError",
     "IODefinition", "LayerDef", "Library", "NetSpec", "NodeCosts",
     "ReticleFit", "SweepPlan", "TestProcessDef",
     "ValidatedSystem", "ValidationError", "WaferProcessDef", "XmlError",

@@ -1,7 +1,10 @@
 """Physical derivation: connectivity, power, pads, and area per chip.
 
-The netlist is turned into per-IO-type instance matrices between chips,
-then tallied onto the chips in one pass over the nets.
+One pass over the netlist (tally_nets) resolves each net's instances,
+pads, bandwidth and link power and puts them on the chips it touches,
+summing the internal instances into per-IO-type matrices between chips.
+Each chip's IO cell area adds those summed instances first, then the
+external nets in net order.
 Power rolls up the tree, pad counts follow from connectivity plus power
 and test needs, and the final area of each chip is the largest of its
 core+IO silicon, its stack footprint, and the area its pads demand.
@@ -36,40 +39,6 @@ MAX_DIES_ACROSS = 20_000
 
 
 @dataclass(frozen=True)
-class ResolvedNet:
-    """A net with its endpoints resolved and instance count fixed."""
-
-    net: NetSpec
-    io: IODefinition
-    instances: int
-    internal: bool          # both endpoints are chips in the tree
-    resolving: str          # for external nets, the endpoint that exists
-
-    @property
-    def pads(self) -> int:
-        return self.instances * self.io.wires_per_instance
-
-    @property
-    def bandwidth_used(self) -> float:
-        if self.net.bandwidth is not None:
-            return self.net.bandwidth
-        return self.net.count * self.io.bandwidth
-
-
-@dataclass(frozen=True)
-class ConnectionMatrices:
-    """Per-IO-type instance counts between chips, plus external nets.
-
-    entries[io_name][(src, dst)] sums instances over all nets of that type
-    and direction; the diagonal never appears because src == dst is
-    rejected at validation.
-    """
-
-    entries: dict[str, dict[tuple[str, str], int]]
-    resolved: tuple[ResolvedNet, ...]
-
-
-@dataclass(frozen=True)
 class DerivedChip(Tree):
     """A chip with its physical quantities resolved."""
 
@@ -95,7 +64,8 @@ class DerivedChip(Tree):
 @dataclass(frozen=True)
 class DerivedSystem:
     system: ValidatedSystem
-    matrices: ConnectionMatrices
+    # io -> {(src, dst): instances} of the internal nets (NetTally)
+    matrices: dict[str, dict[tuple[str, str], int]]
     root: DerivedChip
 
 
@@ -117,26 +87,6 @@ def net_instances(net: NetSpec, io: IODefinition) -> int:
     return int(math.ceil(ratio - _EPS))
 
 
-def build_matrices(system_names: set[str], nets: tuple[NetSpec, ...],
-                   library: Library) -> ConnectionMatrices:
-    entries: dict[str, dict[tuple[str, str], int]] = {}
-    resolved = []
-    for net in nets:
-        io = library.ios[net.io_type]
-        inst = net_instances(net, io)
-        src_in = net.source in system_names
-        dst_in = net.dest in system_names
-        internal = src_in and dst_in
-        if internal:
-            m = entries.setdefault(net.io_type, {})
-            key = (net.source, net.dest)
-            m[key] = m.get(key, 0) + inst
-        resolving = net.source if src_in else net.dest
-        resolved.append(ResolvedNet(net=net, io=io, instances=inst,
-                                    internal=internal, resolving=resolving))
-    return ConnectionMatrices(entries=entries, resolved=tuple(resolved))
-
-
 @dataclass(frozen=True)
 class NetTally:
     """What the netlist puts on each chip, keyed by chip name.
@@ -145,16 +95,15 @@ class NetTally:
     resolving chip alone for an external net. external_pads holds, by IO
     type, the pads of the external nets a chip resolves; crossing_pads
     the pads of internal nets crossing the boundary of its subtree.
+    matrices[io][(src, dst)] sums the instances of the internal nets of
+    each IO type and direction; src == dst is refused at validation.
     """
 
     area_io: dict[str, float]
     power_io: dict[str, float]
     external_pads: dict[str, dict[str, int]]
     crossing_pads: dict[str, dict[str, int]]
-
-
-def _add_pads(tally: dict[str, int], rn: ResolvedNet) -> None:
-    tally[rn.net.io_type] = tally.get(rn.net.io_type, 0) + rn.pads
+    matrices: dict[str, dict[tuple[str, str], int]]
 
 
 def _cell_areas(io: IODefinition) -> tuple[float, float]:
@@ -166,10 +115,12 @@ def _cell_areas(io: IODefinition) -> tuple[float, float]:
     return io.tx_area, io.receiver_area
 
 
-def tally_nets(root: ChipSpec, matrices: ConnectionMatrices,
+def tally_nets(root: ChipSpec, nets: tuple[NetSpec, ...],
                library: Library) -> NetTally:
-    """One pass over the nets. Each chip's float sums still run in net
-    order, so the totals are the same as a scan of every net per chip."""
+    """One pass over the nets. Power and pads add in net order. Cell area
+    adds the summed internal instances first (IO types, then chip pairs,
+    each in first-seen order), then the external nets in net order. So
+    the totals are the same as a scan of every net per chip."""
     parent: dict[str, str] = {}
     depth = {root.name: 0}
     for chip in root.walk():
@@ -180,27 +131,29 @@ def tally_nets(root: ChipSpec, matrices: ConnectionMatrices,
     power = dict.fromkeys(depth, 0.0)
     external: dict[str, dict[str, int]] = {name: {} for name in depth}
     crossing: dict[str, dict[str, int]] = {name: {} for name in depth}
+    matrices: dict[str, dict[tuple[str, str], int]] = {}
+    outside = []        # (resolving chip, cell area) of each external net
 
-    # cell area of internal nets from the aggregated matrix: tx per row,
-    # rx per column; a chip that only routes a net gets none
-    for io_name, m in matrices.entries.items():
-        tx, rx = _cell_areas(library.ios[io_name])
-        for (src, dst), inst in m.items():
-            area[src] += tx * inst
-            area[dst] += rx * inst
-    for rn in matrices.resolved:
+    for net in nets:
+        io = library.ios[net.io_type]
+        inst = net_instances(net, io)
+        pads = inst * io.wires_per_instance
+        bandwidth = (net.bandwidth if net.bandwidth is not None
+                     else net.count * io.bandwidth)
         # link power at each resolving terminal: pJ/bit times Gbit/s times
         # utilization gives mW, converted to W
-        p = rn.io.energy_per_bit * rn.bandwidth_used * rn.net.utilization \
-            * 1e-3
-        if not rn.internal:
-            r = rn.resolving
-            tx, rx = _cell_areas(rn.io)
-            area[r] += (tx if rn.net.source == r else rx) * rn.instances
+        p = io.energy_per_bit * bandwidth * net.utilization * 1e-3
+        a, b = net.source, net.dest
+        if a not in depth or b not in depth:
+            r = a if a in depth else b
+            tx, rx = _cell_areas(io)
+            outside.append((r, (tx if a == r else rx) * inst))
             power[r] += p
-            _add_pads(external[r], rn)
+            tally = external[r]
+            tally[net.io_type] = tally.get(net.io_type, 0) + pads
             continue
-        a, b = rn.net.source, rn.net.dest
+        m = matrices.setdefault(net.io_type, {})
+        m[a, b] = m.get((a, b), 0) + inst
         power[a] += p
         power[b] += p
         # the net crosses the boundary of each subtree holding one endpoint
@@ -209,10 +162,21 @@ def tally_nets(root: ChipSpec, matrices: ConnectionMatrices,
         while a != b:
             if depth[a] < depth[b]:
                 a, b = b, a
-            _add_pads(crossing[a], rn)
+            tally = crossing[a]
+            tally[net.io_type] = tally.get(net.io_type, 0) + pads
             a = parent[a]
+
+    # cell area of internal nets from the summed instances: tx per row,
+    # rx per column; a chip that only routes a net gets none
+    for io_name, m in matrices.items():
+        tx, rx = _cell_areas(library.ios[io_name])
+        for (src, dst), inst in m.items():
+            area[src] += tx * inst
+            area[dst] += rx * inst
+    for r, cell_area in outside:
+        area[r] += cell_area
     return NetTally(area_io=area, power_io=power, external_pads=external,
-                    crossing_pads=crossing)
+                    crossing_pads=crossing, matrices=matrices)
 
 
 def stack_area(children: tuple[DerivedChip, ...],
@@ -439,8 +403,6 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
 
 def derive(system: ValidatedSystem) -> DerivedSystem:
     """Resolve the whole tree bottom-up."""
-    names = {c.name for c in system.root.walk()}
-    matrices = build_matrices(names, system.nets, system.library)
-    tally = tally_nets(system.root, matrices, system.library)
+    tally = tally_nets(system.root, system.nets, system.library)
     root = derive_chip(system.root, tally, system.library, parent_asm=None)
-    return DerivedSystem(system=system, matrices=matrices, root=root)
+    return DerivedSystem(system=system, matrices=tally.matrices, root=root)

@@ -46,7 +46,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .derive import DerivedSystem, derive
+from .derive import derive
 from .engine import evaluate
 from .errors import ConfigError, ValidationError
 from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
@@ -315,25 +315,17 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
     link_bw = axis.side_bandwidth / m
     new_nets = [x for x in nets
                 if x.source != axis.chip and x.dest != axis.chip]
-    for r in range(m):
-        for c in range(m - 1):
-            new_nets.append(NetSpec(source=tile_name(r, c),
-                                    dest=tile_name(r, c + 1),
-                                    io_type=axis.io_type, bandwidth=link_bw,
-                                    utilization=axis.utilization))
-    for c in range(m):
-        for r in range(m - 1):
-            new_nets.append(NetSpec(source=tile_name(r, c),
-                                    dest=tile_name(r + 1, c),
-                                    io_type=axis.io_type, bandwidth=link_bw,
-                                    utilization=axis.utilization))
-    for i in range(m):
-        for side, (r, c) in (("w", (i, 0)), ("e", (i, m - 1)),
-                             ("n", (0, i)), ("s", (m - 1, i))):
-            new_nets.append(NetSpec(source=tile_name(r, c),
-                                    dest=f"{axis.external_prefix}_{side}{i}",
-                                    io_type=axis.io_type, bandwidth=link_bw,
-                                    utilization=axis.utilization))
+    links = (*((tile_name(r, c), tile_name(r, c + 1))
+               for r in range(m) for c in range(m - 1)),
+             *((tile_name(r, c), tile_name(r + 1, c))
+               for c in range(m) for r in range(m - 1)),
+             *((tile_name(r, c), f"{axis.external_prefix}_{side}{i}")
+               for i in range(m)
+               for side, (r, c) in (("w", (i, 0)), ("e", (i, m - 1)),
+                                    ("n", (0, i)), ("s", (m - 1, i)))))
+    new_nets.extend(NetSpec(source=src, dest=dst, io_type=axis.io_type,
+                            bandwidth=link_bw, utilization=axis.utilization)
+                    for src, dst in links)
     return lib, new_root, tuple(new_nets)
 
 
@@ -364,8 +356,11 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
     slower than one loop on every benchmark workload, since the points
     hold the interpreter lock. `jobs` is kept so callers need not change.
     """
+    if not plan.axes:
+        raise ValidationError("sweep defines no axes", "sweep")
     size = 1
     for axis in plan.axes:
+        check_fields(axis, axis.context)
         size *= len(axis.points)
         if size > MAX_SWEEP_POINTS:
             raise ValidationError(
@@ -444,9 +439,8 @@ def _walk(base: ValidatedSystem, plan: SweepPlan,
         last = index
         rows[pos] = _row(
             map(cells.__getitem__, perm),
-            evaluate(DerivedSystem(system=system, matrices=tree.matrices,
-                                   root=tree.root),
-                     memo=memo, moved=entries))
+            evaluate(dataclasses.replace(tree, system=system), memo=memo,
+                     moved=entries))
     return rows
 
 

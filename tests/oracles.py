@@ -256,17 +256,36 @@ def stitch_layout_edges(n: int) -> int:
     return edges
 
 
-def naive_net_tally(root, matrices, library):
+def naive_net_tally(root, nets, library):
     """Per-chip net sums by scanning every net once per chip, with the
     crossing pads of a subtree found by testing both endpoints of each
-    internal net for membership. O(chips x nets); each chip's float sums
-    run in net order, so the result must equal the one-pass tally
-    exactly."""
-    from chipcost.derive import NetTally
+    internal net for membership. O(chips x nets); each chip's cell area
+    adds the summed internal instances first, then the external nets, and
+    every other float sum runs in net order, so the result must equal the
+    one-pass tally exactly."""
+    from chipcost.derive import NetTally, net_instances
+
+    names = {c.name for c in root.walk()}
+
+    def internal(net):
+        return net.source in names and net.dest in names
+
+    def resolving(net):
+        return net.source if net.source in names else net.dest
+
+    def instances(net):
+        return net_instances(net, library.ios[net.io_type])
+
+    matrices = {}
+    for net in nets:
+        if internal(net):
+            m = matrices.setdefault(net.io_type, {})
+            key = (net.source, net.dest)
+            m[key] = m.get(key, 0) + instances(net)
 
     def area_of(name):
         area = 0.0
-        for io_name, m in matrices.entries.items():
+        for io_name, m in matrices.items():
             io = library.ios[io_name]
             for (src, dst), inst in m.items():
                 if io.bidirectional:
@@ -277,50 +296,56 @@ def naive_net_tally(root, matrices, library):
                         area += io.tx_area * inst
                     if dst == name:
                         area += io.receiver_area * inst
-        for rn in matrices.resolved:
-            if not rn.internal and rn.resolving == name:
-                if rn.io.bidirectional:
-                    area += ((rn.io.tx_area + rn.io.receiver_area)
-                             * rn.instances)
-                elif rn.net.source == name:
-                    area += rn.io.tx_area * rn.instances
+        for net in nets:
+            if not internal(net) and resolving(net) == name:
+                io = library.ios[net.io_type]
+                if io.bidirectional:
+                    area += (io.tx_area + io.receiver_area) * instances(net)
+                elif net.source == name:
+                    area += io.tx_area * instances(net)
                 else:
-                    area += rn.io.receiver_area * rn.instances
+                    area += io.receiver_area * instances(net)
         return area
 
     def power_of(name):
         power = 0.0
-        for rn in matrices.resolved:
-            if name not in (rn.net.source, rn.net.dest):
+        for net in nets:
+            if name not in (net.source, net.dest):
                 continue
-            if not rn.internal and rn.resolving != name:
+            if not internal(net) and resolving(net) != name:
                 continue
-            power += (rn.io.energy_per_bit * rn.bandwidth_used
-                      * rn.net.utilization * 1e-3)
+            io = library.ios[net.io_type]
+            bandwidth = (net.bandwidth if net.bandwidth is not None
+                         else net.count * io.bandwidth)
+            power += (io.energy_per_bit * bandwidth * net.utilization
+                      * 1e-3)
         return power
 
     def pads_where(keep):
         out = {}
-        for rn in matrices.resolved:
-            if keep(rn):
-                out[rn.net.io_type] = out.get(rn.net.io_type, 0) + rn.pads
+        for net in nets:
+            if keep(net):
+                pads = (instances(net)
+                        * library.ios[net.io_type].wires_per_instance)
+                out[net.io_type] = out.get(net.io_type, 0) + pads
         return out
 
     def crossing_of(chip):
         inside = {c.name for c in chip.walk()}
-        return pads_where(lambda rn: rn.internal and (
-            (rn.net.source in inside) != (rn.net.dest in inside)))
+        return pads_where(lambda net: internal(net) and (
+            (net.source in inside) != (net.dest in inside)))
 
     def external_of(name):
         return pads_where(
-            lambda rn: not rn.internal and rn.resolving == name)
+            lambda net: not internal(net) and resolving(net) == name)
 
     chips = list(root.walk())
     return NetTally(
         area_io={c.name: area_of(c.name) for c in chips},
         power_io={c.name: power_of(c.name) for c in chips},
         external_pads={c.name: external_of(c.name) for c in chips},
-        crossing_pads={c.name: crossing_of(c) for c in chips})
+        crossing_pads={c.name: crossing_of(c) for c in chips},
+        matrices=matrices)
 
 
 def naive_sweep(base, plan):

@@ -3,9 +3,9 @@ import math
 import pytest
 
 import chipcost as cc
-from chipcost.derive import (build_matrices, derive, net_instances,
-                             place_pads, power_pad_count, stack_area,
-                             tally_nets, _band_area)
+from chipcost.derive import (derive, net_instances, place_pads,
+                             power_pad_count, stack_area, tally_nets,
+                             _band_area)
 from chipcost.derive import test_io_count as scan_io_count
 from chipcost.sweep import SplitAxis, apply_split
 from chipcost.wafer import reticle_fit
@@ -44,7 +44,7 @@ def chip(name, *children):
 def flat_tally(names, nets, lib):
     """Tally of the nets over leaf chips `names` under one package root."""
     root = chip("pkg", *(chip(n) for n in names))
-    return tally_nets(root, build_matrices({"pkg", *names}, nets, lib), lib)
+    return tally_nets(root, nets, lib)
 
 
 class TestInstances:
@@ -66,26 +66,26 @@ class TestInstances:
 
 class TestMatrices:
     def test_entries_keyed_by_direction(self):
-        m = build_matrices({"a", "b"}, (net("a", "b", bandwidth=8.0),
-                                        net("b", "a", bandwidth=4.0)),
-                           tiny_library())
-        entries = m.entries["io4"]
+        t = flat_tally("ab", (net("a", "b", bandwidth=8.0),
+                              net("b", "a", bandwidth=4.0)), tiny_library())
+        entries = t.matrices["io4"]
         assert entries == {("a", "b"): 2, ("b", "a"): 1}
         assert sum(n for (s, _), n in entries.items() if s == "a") == 2
         assert sum(n for (_, d), n in entries.items() if d == "a") == 1
 
     def test_parallel_nets_accumulate(self):
-        m = build_matrices({"a", "b"}, (net("a", "b", bandwidth=8.0),
-                                        net("a", "b", count=3)),
-                           tiny_library())
-        assert m.entries["io4"][("a", "b")] == 5
+        t = flat_tally("ab", (net("a", "b", bandwidth=8.0),
+                              net("a", "b", count=3)), tiny_library())
+        assert t.matrices["io4"][("a", "b")] == 5
 
     def test_external_net_stays_out_of_matrix(self):
-        m = build_matrices({"a"}, (net("a", "elsewhere", bandwidth=8.0),),
-                           tiny_library())
-        assert m.entries == {}
-        rn = m.resolved[0]
-        assert not rn.internal and rn.resolving == "a"
+        t = flat_tally("ab", (net("a", "elsewhere", bandwidth=8.0),),
+                       tiny_library())
+        assert t.matrices == {}
+        # 2 instances of tx cells, and 1 pJ/bit x 8 Gbit/s, on "a" alone
+        assert t.area_io == {"pkg": 0.0, "a": pytest.approx(0.2), "b": 0.0}
+        assert t.power_io == {"pkg": 0.0, "a": pytest.approx(8e-3),
+                              "b": 0.0}
 
 
 class TestIOArea:
@@ -101,10 +101,9 @@ class TestIOArea:
     def test_bidirectional_charges_both_functions_per_side(self):
         lib = tiny_library(bidi=BIDI)
         nets = (net("a", "b", io="bidi", count=3),)
-        m = build_matrices({"a", "b"}, nets, lib)
-        # one matrix entry, but each side holds 3 transceivers
-        assert m.entries["bidi"] == {("a", "b"): 3}
         t = flat_tally("ab", nets, lib)
+        # one matrix entry, but each side holds 3 transceivers
+        assert t.matrices["bidi"] == {("a", "b"): 3}
         assert t.area_io["a"] == pytest.approx(0.3)
         assert t.area_io["b"] == pytest.approx(0.3)
 
@@ -145,8 +144,7 @@ class TestNetTally:
         lib = tiny_library()
         nets = (net("a", "b", count=1), net("b", "c", count=2),
                 net("c", "host", count=3))
-        names = {c.name for c in root.walk()}
-        t = tally_nets(root, build_matrices(names, nets, lib), lib)
+        t = tally_nets(root, nets, lib)
         # 4 wires per instance; a->b leaves a, x, b and y; b->c only b, c
         assert t.crossing_pads == {"pkg": {}, "x": {"io4": 4},
                                    "a": {"io4": 4}, "y": {"io4": 4},
@@ -158,9 +156,8 @@ class TestNetTally:
     def test_matches_per_chip_scans_on_random_systems(self, seed):
         for s in range(seed, seed + 100):
             system = make_system(s)
-            ds = derive(system)
-            assert (tally_nets(system.root, ds.matrices, system.library)
-                    == naive_net_tally(system.root, ds.matrices,
+            assert (tally_nets(system.root, system.nets, system.library)
+                    == naive_net_tally(system.root, system.nets,
                                        system.library))
 
     @pytest.mark.parametrize("n", (1, 16, 64, 256, 1024))
@@ -170,8 +167,8 @@ class TestNetTally:
                          utilization=1.0)
         lib, root, nets = apply_split(gp_system.library, gp_system.root,
                                       gp_system.nets, axis, n)
-        m = derive(cc.validate_system(root, nets, lib)).matrices
-        assert tally_nets(root, m, lib) == naive_net_tally(root, m, lib)
+        cc.validate_system(root, nets, lib)
+        assert tally_nets(root, nets, lib) == naive_net_tally(root, nets, lib)
 
 
 class TestStackArea:
@@ -434,5 +431,5 @@ class TestDeriveTree:
 
     def test_diagonal_never_appears(self, handcheck_system):
         ds = derive(handcheck_system)
-        for m in ds.matrices.entries.values():
+        for m in ds.matrices.values():
             assert all(s != d for (s, d) in m)

@@ -393,3 +393,22 @@ def test_a_reused_tree_is_evaluated_with_the_points_library(gp_system):
             gp_system.root, gp_system.nets, lib)))
         assert row[1] == report.cost_total
     assert rows[0][1] < rows[1][1]
+
+
+def test_a_plan_with_no_axes_is_refused(gp_system):
+    with pytest.raises(cc.ValidationError, match="sweep defines no axes"):
+        run_sweep(gp_system, SweepPlan(axes=()))
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("side_bandwidth", -5.0, "> 0"), ("side_bandwidth", 0.0, "> 0"),
+    ("utilization", 2.0, "[0, 1]"), ("utilization", -1.0, "[0, 1]")])
+def test_a_split_built_in_python_is_range_checked_naming_the_axis(
+        gp_system, field, value, rule):
+    axis = SplitAxis(chip="tile", counts=(4,), side_bandwidth=1024.0,
+                     io_type="mesh_link")
+    plan = SweepPlan(axes=(dataclasses.replace(axis, **{field: value}),))
+    with pytest.raises(cc.ValidationError) as info:
+        run_sweep(gp_system, plan)
+    assert str(info.value) == (
+        f"<split tile>: {field} must be {rule}, got {value}")

@@ -433,6 +433,7 @@ class TestBadInputExits2:
          ' step="5"/>', "step"),
         ('<sweep foo="1"><param target="system.chip[tile].core_area"'
          ' values="100,200"/></sweep>', "foo"),
+        ('<sweep/>', "sweep.xml: sweep defines no axes"),
         # a property or method is not a field
         ('<param target="library.waferprocess[hvm_300mm].usable_radius"'
          ' values="100"/>', "no field 'usable_radius'"),
