@@ -76,9 +76,7 @@ def _cmd_sweep(args) -> int:
     plan = parse_sweep(args.sweep)
     rows = run_sweep(system, plan, jobs=args.jobs)
     _write(sweep_to_csv(plan, rows), args.out)
-    infeasible_col = len(rows[0]) - 1 if rows else 0
-    any_bad = any(row[infeasible_col] for row in rows)
-    return EXIT_INFEASIBLE if any_bad else EXIT_OK
+    return EXIT_INFEASIBLE if any(row[-1] for row in rows) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,8 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p_sweep)
     p_sweep.add_argument("--sweep", required=True, help="sweep definition XML")
     p_sweep.add_argument("--jobs", type=_jobs, default=1,
-                         help="accepted for compatibility; points run "
-                              "serially")
+                         help="processes to run the points in, forked, "
+                              "at most one per usable CPU; the output is "
+                              "byte-identical to --jobs 1. Runs serially "
+                              "without fork, on one CPU, or when the "
+                              "outermost visited axis has one value")
     p_sweep.set_defaults(fn=_cmd_sweep)
     return parser
 

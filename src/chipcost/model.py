@@ -8,14 +8,15 @@ Each dataclass is also the one record of its XML element: a field is an
 attribute of the same name and type, and its default is the attribute's
 default (a field without one is a required attribute). Field metadata
 covers the rest: "check" states the field's valid range (">= 0", "> 0",
-">= 1", "[0, 1]" or "(0, 1]"), which check_fields enforces; "attr"
-names an attribute spelled differently from the field, "unit" marks a
-defect density that accepts a *_unit attribute, and "sparse" marks an
-attribute written only when it differs from its default. "derive" marks
-each library field that derive reads: a sweep re-derives the tree only
-when an axis changes one of them (or the chip tree itself). "ref" names
-the library kind of the entry a ChipSpec field names, the record of what
-evaluate reads; "parent" marks one it reads only on a chip with children.
+">= 1", "[0, 1]" or "(0, 1]"), which check_fields enforces; "attr" names
+an attribute spelled differently from the field (None: no attribute sets
+it), "unit" marks a defect density that accepts a *_unit attribute, and
+"sparse" marks an attribute written only when it differs from its
+default. "derive" marks each library field that derive reads: a sweep
+re-derives the tree only when an axis changes one of them (or the chip
+tree itself). "ref" names the library kind of the entry a ChipSpec field
+names, the record of what evaluate reads; "parent" marks one it reads
+only on a chip with children.
 
 Units: mm and mm2 for geometry, W for power, V for voltage, A/mm2 for
 current density, USD for cost, s for time, Gbit/s for bandwidth, pJ/bit

@@ -1,10 +1,10 @@
 """Parameter sweeps: scalar field axes and the homogeneous split axis.
 
-A sweep is a cartesian product over axes, and points run one after
-another. The models are frozen dataclasses: a point rebuilds the pieces
-its values change and alters no other point's. Each axis is resolved
-once, when it is built; a value it cannot apply at a point is refused
-naming the axis.
+A sweep is a cartesian product over axes. The models are frozen
+dataclasses: a point rebuilds the pieces its values change and alters no
+other point's. Each axis is resolved and its values checked once, when
+it is built; a value it cannot apply at a point is refused naming the
+axis.
 
 Each axis has a stage, the earliest one its values change: TREE for a
 chip or split axis, DERIVE for a library field marked "derive" in the
@@ -31,6 +31,13 @@ the nodes whose subtree reads an entry a re-applied axis names (see
 engine.evaluate), through a memo of its node costs kept when three or
 more points share the tree.
 
+Points run one after another unless run_sweep is given jobs > 1. Then
+the outermost visited axis is cut into contiguous index ranges of about
+equal work, one per process: this one and forked children, each walking
+its range as above. The rows are byte-identical to a serial run's. The
+sweep stays serial where os.fork is missing, on one usable CPU, in a
+process with other threads, or when that axis has one value.
+
 The split axis divides one template chip into an n = m x m mesh of equal
 chiplets. Every mesh link and every boundary stub carries the template's
 side bandwidth divided by m, which keeps the total bandwidth crossing
@@ -43,7 +50,9 @@ import dataclasses
 import io
 import itertools
 import math
+import os
 import re
+import threading
 from dataclasses import dataclass
 
 from .derive import derive
@@ -76,8 +85,10 @@ class FieldAxis:
     `kind` (the library tag or "chip"), `name` (the entry or chip name,
     "*" for every chip), `field`, `is_int` and `stage` (the earliest
     stage the field changes); a bad target, an unknown field or one that
-    holds no number is refused there. Errors name `context`, which is
-    "<param target>" unless the caller gives one."""
+    holds no number is refused there, as is an empty value list, a value
+    that is not finite or one an int field cannot hold. The values are
+    kept as given. Errors name `context`, which is "<param target>"
+    unless the caller gives one."""
 
     target: str
     values: tuple[float, ...]
@@ -95,9 +106,16 @@ class FieldAxis:
                                   ctx)
         if field_kinds(cls)[field] not in (int, float):
             raise ValidationError(f"field '{field}' is not numeric", ctx)
+        if not self.values:
+            raise ValidationError("values list is empty", ctx)
+        is_int = field_kinds(cls)[field] is int
+        for v in self.values:
+            if not math.isfinite(v):
+                raise ValidationError(f"value must be finite, got {v}", ctx)
+            if is_int:
+                to_integer(v, f"field '{field}'", ctx)
         self.__dict__.update(
-            context=ctx, kind=kind, name=name, field=field,
-            is_int=field_kinds(cls)[field] is int,
+            context=ctx, kind=kind, name=name, field=field, is_int=is_int,
             stage=TREE if kind == "chip" else
             DERIVE if field in derive_fields(cls) else COST)
 
@@ -113,7 +131,10 @@ class FieldAxis:
 @dataclass(frozen=True)
 class SplitAxis:
     """A <split> element; its attributes are read and checked like the
-    model's."""
+    model's when it is built. `counts` must be a non-empty list of whole
+    perfect squares of at most MAX_SPLIT_TILES tiles, and is kept as
+    ints. Errors name `context`, which is "<split chip>" unless the
+    caller gives one."""
 
     chip: str
     counts: tuple[int, ...]
@@ -123,11 +144,26 @@ class SplitAxis:
                                              metadata={"attr": "external"})
     utilization: float = dataclasses.field(default=1.0,
                                            metadata={"check": "[0, 1]"})
+    context: str = dataclasses.field(default="", compare=False, repr=False,
+                                     metadata={"attr": None})
     stage = TREE              # a split rebuilds the tree
 
-    @property
-    def context(self) -> str:
-        return f"<split {self.chip}>"
+    def __post_init__(self):
+        ctx = self.context or f"<split {self.chip}>"
+        if not self.counts:
+            raise ValidationError("<split> needs counts", ctx)
+        for n in self.counts:
+            if n > MAX_SPLIT_TILES:
+                raise ValidationError(
+                    f"<split> count {format_value(n)} is more than "
+                    f"{MAX_SPLIT_TILES} tiles", ctx)
+            if not n >= 1 or n != int(n) or math.isqrt(int(n)) ** 2 != n:
+                raise ValidationError(
+                    "<split> counts must be perfect squares, got "
+                    f"{format_value(n)}", ctx)
+        check_fields(self, ctx)
+        self.__dict__.update(context=ctx,
+                             counts=tuple(int(n) for n in self.counts))
 
     @property
     def column(self) -> str:
@@ -143,12 +179,10 @@ class SweepPlan:
     axes: tuple[FieldAxis | SplitAxis, ...]
 
 
-def _parse_values(text: str, context: str = "sweep") -> tuple[float, ...]:
-    out = tuple(parse_number(v.strip(), "value", context)
-                for v in text.split(",") if v.strip())
-    if not out:
-        raise ValidationError("values list is empty", context)
-    return out
+def _parse_values(text: str, context: str,
+                  what: str = "value") -> tuple[float, ...]:
+    return tuple(parse_number(v.strip(), what, context)
+                 for v in text.split(",") if v.strip())
 
 
 def _parse_range(text: str, context: str = "sweep") -> tuple[float, ...]:
@@ -180,25 +214,6 @@ def _parse_range(text: str, context: str = "sweep") -> tuple[float, ...]:
     return tuple(out)
 
 
-def _parse_counts(text: str, context: str) -> tuple[int, ...]:
-    counts = []
-    for v in (v.strip() for v in text.split(",")):
-        if not v:
-            continue
-        n = parse_number(v, "<split> count", context)
-        if n < 1 or n != int(n) or math.isqrt(int(n)) ** 2 != n:
-            raise ValidationError(
-                f"<split> counts must be perfect squares, got {v}", context)
-        if n > MAX_SPLIT_TILES:
-            raise ValidationError(
-                f"<split> count {v} is more than {MAX_SPLIT_TILES} tiles",
-                context)
-        counts.append(int(n))
-    if not counts:
-        raise ValidationError("<split> needs counts", context)
-    return tuple(counts)
-
-
 def parse_sweep(path: str) -> SweepPlan:
     root = _parse_xml(path)
     if root.tag != "sweep":
@@ -220,11 +235,10 @@ def parse_sweep(path: str) -> SweepPlan:
                    else _parse_range(range_, ctx))
             axes.append(FieldAxis(target=target, values=pts, context=ctx))
         elif elem.tag == "split":
-            ctx = f"{path}: <split>"
-            split = _parse_fields(SplitAxis, elem, ctx, counts=_parse_counts(
-                elem.get("counts", ""), path))
-            check_fields(split, ctx)
-            axes.append(split)
+            ctx = f"{path}: <split {elem.get('chip', '?')}>"
+            axes.append(_parse_fields(
+                SplitAxis, elem, ctx, context=ctx, counts=_parse_values(
+                    elem.get("counts", ""), ctx, "<split> count")))
         else:
             raise ValidationError(f"unknown sweep element <{elem.tag}>", path)
     if not axes:
@@ -250,7 +264,7 @@ def apply_field(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
                 axis: FieldAxis, value: float):
     """lib, root and nets with the axis's field set to value."""
     if axis.is_int:
-        value = to_integer(value, f"field '{axis.field}'", axis.context)
+        value = int(value)      # a whole number, checked when built
     change = {axis.field: value}
     if axis.kind == "chip":
         root, hits = _replace_in_tree(root, axis.name, change)
@@ -352,21 +366,28 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
     runs again in declaration order, so the error is the one the first
     failing point in declaration order raises.
 
-    Points run serially whatever `jobs` asks for: a thread pool measured
-    slower than one loop on every benchmark workload, since the points
-    hold the interpreter lock. `jobs` is kept so callers need not change.
+    With jobs > 1 the outermost visited axis is cut into w contiguous
+    index ranges of about equal work, w = min(jobs, usable CPUs, its
+    value count): a split count weighs its tile count, any other value
+    1. This process walks the first range and one forked process each
+    other one, and the rows, byte-identical to jobs=1, are put back by
+    position. The sweep runs serially when w < 2, where os.fork is
+    missing, and in a process with other threads (forking one can
+    deadlock). If any range fails, every result is dropped and the
+    serial walk runs, so a failing sweep raises what jobs=1 raises.
     """
     if not plan.axes:
         raise ValidationError("sweep defines no axes", "sweep")
     size = 1
     for axis in plan.axes:
-        check_fields(axis, axis.context)
         size *= len(axis.points)
         if size > MAX_SWEEP_POINTS:
             raise ValidationError(
                 f"more than {MAX_SWEEP_POINTS} points once axis "
                 f"'{axis.column}' joins the product", "sweep")
     order = sorted(range(len(plan.axes)), key=lambda k: plan.axes[k].stage)
+    if jobs > 1 and (rows := _fork_walk(base, plan, order, jobs)):
+        return rows
     try:
         return _walk(base, plan, order)
     except ConfigError:
@@ -375,11 +396,71 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
     return _walk(base, plan, range(len(plan.axes)))
 
 
-def _walk(base: ValidatedSystem, plan: SweepPlan,
-          order: list[int] | range) -> list[tuple]:
+def _fork_walk(base: ValidatedSystem, plan: SweepPlan, order: list[int],
+               jobs: int) -> list[tuple] | None:
+    """run_sweep's rows from w processes, as run_sweep describes; None
+    where the sweep runs serially or a range failed. Each child pickles
+    its rows into a pipe and leaves by os._exit, writing nothing else;
+    every child is reaped before this returns or raises."""
+    outer = plan.axes[order[0]]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    w = min(jobs, cpus, len(outer.points))
+    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    import pickle
+    weight = list(itertools.accumulate(
+        (n if isinstance(outer, SplitAxis) else 1 for n in outer.points),
+        initial=0))
+    # cut k falls where the weight walked so far is nearest k/w of it all
+    cuts = [0]
+    for k in range(1, w):
+        cuts.append(min(range(cuts[-1] + 1, len(outer.points) - w + k + 1),
+                        key=lambda c: abs(weight[c] - weight[-1] * k / w)))
+    cuts.append(len(outer.points))
+    children, rows = [], None       # children: [rows pipe, pid]
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            read, write = os.pipe()
+            children.append([open(read, "rb"), None])
+            with open(write, "wb") as out:
+                children[-1][1] = pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        pickle.dump(_walk(base, plan, order, range(lo, hi)),
+                                    out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+        rows = _walk(base, plan, order, range(cuts[1]))
+    except Exception:
+        pass            # the serial walk raises what jobs=1 raises
+    finally:
+        if rows is None:
+            import signal
+            for _, pid in children:
+                if pid:
+                    os.kill(pid, signal.SIGKILL)
+        parts = []
+        for fh, pid in children:
+            with fh:
+                part = fh.read()
+            parts.append(pid and os.waitpid(pid, 0)[1] == 0 and part)
+    if rows is None or not all(parts):
+        return None
+    for part in map(pickle.loads, parts):
+        rows = [r if r is not None else p for r, p in zip(rows, part)]
+    return rows
+
+
+def _walk(base: ValidatedSystem, plan: SweepPlan, order: list[int] | range,
+          span: range | None = None) -> list[tuple]:
     """run_sweep's rows, visiting the product with plan.axes[order[0]]
-    outermost, on the stack of applied prefixes. Values are compared by
-    index, since 0.0 == -0.0."""
+    outermost, on the stack of applied prefixes; only the values of that
+    axis at the indices in `span` (all by default), the other rows None.
+    Values are compared by index, since 0.0 == -0.0."""
     axes = [plan.axes[k] for k in order]
     # a row's position: its value indices in declaration order
     stride = [math.prod(len(a.points) for a in plan.axes[k + 1:])
@@ -402,7 +483,8 @@ def _walk(base: ValidatedSystem, plan: SweepPlan,
     tree = memo = None
     rows = [None] * math.prod(len(a.points) for a in axes)
     for n, index in enumerate(itertools.product(
-            *(range(len(a.points)) for a in axes))):
+            span or range(len(axes[0].points)),
+            *(range(len(a.points)) for a in axes[1:]))):
         start = next(k for k, (i, was) in enumerate(zip(index, last))
                      if i != was)
         stage = floor[start] if n else TREE

@@ -129,16 +129,18 @@ _READERS = {str: _Attrs.text, float: _Attrs.number, int: _Attrs.integer,
 @functools.cache
 def _attributes(cls) -> tuple:
     """(field, XML attribute, reader, required) for each attribute field
-    of a model class, in declaration order."""
+    of a model class, in declaration order; "attr" metadata of None marks
+    a field no attribute sets."""
     out = []
     for f in dataclasses.fields(cls):
         kind = field_kinds(cls)[f.name]
-        if kind is None:
+        attr = f.metadata.get("attr", f.name)
+        if kind is None or attr is None:
             continue
         reader = _Attrs.density if f.metadata.get("unit") else _READERS[kind]
         required = (f.default is dataclasses.MISSING
                     and f.default_factory is dataclasses.MISSING)
-        out.append((f, f.metadata.get("attr", f.name), reader, required))
+        out.append((f, attr, reader, required))
     return tuple(out)
 
 
@@ -152,7 +154,7 @@ def _parse_xml(path: str) -> ET.Element:
         raise XmlError(str(exc), path)
 
 
-def _parse_fields(cls, elem: ET.Element, context: str, **given):
+def _parse_fields(cls, elem: ET.Element, context: str, /, **given):
     """An instance of cls from elem's attributes; an absent optional
     attribute takes the field's default. `given` supplies the nested
     records, and any field the caller reads itself."""

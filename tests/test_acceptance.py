@@ -148,7 +148,7 @@ def test_fault_coverage_trades_test_cost_against_scrap():
 
 
 def test_batch_bonding_discount_is_exact(gp_system):
-    axis = SplitAxis(chip="tile", counts=(), side_bandwidth=1024.0,
+    axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
                      io_type="mesh_link", external_prefix="edge",
                      utilization=1.0)
     state = (gp_system.library, gp_system.root, gp_system.nets)
@@ -179,7 +179,7 @@ def test_randomized_systems_hold_invariants():
 
 
 def test_evaluation_is_fast_enough_for_sweeps(gp_system, handcheck_system):
-    axis = SplitAxis(chip="tile", counts=(), side_bandwidth=1024.0,
+    axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
                      io_type="mesh_link", external_prefix="edge",
                      utilization=1.0)
     lib, root, nets = apply_split(gp_system.library, gp_system.root,
@@ -307,7 +307,7 @@ def test_library_sweeps_recheck_only_the_entries_their_axes_name(
 
 def test_library_sweeps_recost_only_the_subtrees_a_point_changed(
         gp_system, monkeypatch):
-    axis = SplitAxis(chip="tile", counts=(), side_bandwidth=1024.0,
+    axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
                      io_type="mesh_link", external_prefix="edge",
                      utilization=1.0)
     lib, root, nets = apply_split(gp_system.library, gp_system.root,
@@ -411,7 +411,7 @@ def test_cross_field_checks_see_every_axis_of_a_point(
 def test_derive_scales_to_a_thousand_tiles(gp_system):
     # derive makes one pass over the nets: at 1024 tiles it took 540 ms
     # when every chip rescanned every net, and about 17 ms in one pass
-    axis = SplitAxis(chip="tile", counts=(), side_bandwidth=1024.0,
+    axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
                      io_type="mesh_link", external_prefix="edge",
                      utilization=1.0)
     lib, root, nets = apply_split(gp_system.library, gp_system.root,

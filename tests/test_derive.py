@@ -162,7 +162,7 @@ class TestNetTally:
 
     @pytest.mark.parametrize("n", (1, 16, 64, 256, 1024))
     def test_matches_per_chip_scans_on_tile_splits(self, gp_system, n):
-        axis = SplitAxis(chip="tile", counts=(), side_bandwidth=1024.0,
+        axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
                          io_type="mesh_link", external_prefix="edge",
                          utilization=1.0)
         lib, root, nets = apply_split(gp_system.library, gp_system.root,

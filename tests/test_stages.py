@@ -4,6 +4,7 @@ stages, and re-cost only the nodes, a point's values can change."""
 import ast
 import dataclasses
 import inspect
+import math
 import random
 
 import pytest
@@ -214,7 +215,7 @@ def _random_plan(system: cc.ValidatedSystem, rng: random.Random,
         bad = rng.randrange(4)
         if bad == 1:
             extra.append(FieldAxis("library.test[t_none].patterns",
-                                   (1000, 2.5)))
+                                   (1000, -1)))
         for axis in extra:
             axes.insert(rng.randrange(len(axes) + 1), axis)
         if bad == 2:
@@ -332,7 +333,7 @@ def test_a_point_that_breaks_two_entries_names_them_in_library_order(
 
 @pytest.mark.parametrize("chip_axis", [
     FieldAxis("system.chip[tile].core_area", (100.0, -5.0)),
-    FieldAxis("system.chip[tile].quantity", (100, 2.5)),
+    FieldAxis("system.chip[tile].quantity", (100, 0)),
 ])
 def test_a_failing_sweep_names_its_first_failing_point_in_declaration_order(
         gp_system, chip_axis):
@@ -407,8 +408,57 @@ def test_a_split_built_in_python_is_range_checked_naming_the_axis(
         gp_system, field, value, rule):
     axis = SplitAxis(chip="tile", counts=(4,), side_bandwidth=1024.0,
                      io_type="mesh_link")
-    plan = SweepPlan(axes=(dataclasses.replace(axis, **{field: value}),))
     with pytest.raises(cc.ValidationError) as info:
-        run_sweep(gp_system, plan)
+        run_sweep(gp_system, SweepPlan(axes=(
+            dataclasses.replace(axis, **{field: value}),)))
     assert str(info.value) == (
         f"<split tile>: {field} must be {rule}, got {value}")
+
+
+_QUANTITY = "system.chip[tile].quantity"
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("build, message", [
+    (lambda: dataclasses.replace(_SPLIT, counts=(0,)),
+     "<split tile>: <split> counts must be perfect squares, got 0"),
+    (lambda: dataclasses.replace(_SPLIT, counts=(-4,)),
+     "<split tile>: <split> counts must be perfect squares, got -4"),
+    (lambda: dataclasses.replace(_SPLIT, counts=(4, 4.5)),
+     "<split tile>: <split> counts must be perfect squares, got 4.5"),
+    (lambda: dataclasses.replace(_SPLIT, counts=(float("nan"),)),
+     "<split tile>: <split> counts must be perfect squares, got nan"),
+    (lambda: dataclasses.replace(_SPLIT, counts=(16900,)),
+     "<split tile>: <split> count 16900 is more than 16384 tiles"),
+    (lambda: dataclasses.replace(_SPLIT, counts=()),
+     "<split tile>: <split> needs counts"),
+    (lambda: FieldAxis(_CORE_AREA, ()),
+     f"<param {_CORE_AREA}>: values list is empty"),
+    (lambda: FieldAxis(_CORE_AREA, (25.0, math.inf)),
+     f"<param {_CORE_AREA}>: value must be finite, got inf"),
+    (lambda: FieldAxis(_QUANTITY, (math.nan,)),
+     f"<param {_QUANTITY}>: value must be finite, got nan"),
+    (lambda: FieldAxis(_QUANTITY, (-math.inf,)),
+     f"<param {_QUANTITY}>: value must be finite, got -inf"),
+    (lambda: FieldAxis(_QUANTITY, (2, 2.5)),
+     f"<param {_QUANTITY}>: field 'quantity' must be an integer: integral"
+     " and below 2**53 in magnitude, got 2.5"),
+    (lambda: FieldAxis(_QUANTITY, (-2.0 ** 53,)),
+     f"<param {_QUANTITY}>: field 'quantity' must be an integer: integral"
+     " and below 2**53 in magnitude, got -9007199254740992.0"),
+])
+def test_an_axis_built_in_python_checks_its_values_naming_the_axis(
+        gp_system, build, message, jobs):
+    with pytest.raises(cc.ValidationError) as info:
+        run_sweep(gp_system, SweepPlan(axes=(build(),)), jobs=jobs)
+    assert str(info.value) == message
+
+
+def test_an_axis_keeps_its_values_and_a_split_its_counts_as_ints(gp_system):
+    quantity = FieldAxis("system.chip[tile_0_0].quantity", (2.0, 3))
+    assert [type(v) for v in quantity.values] == [float, int]
+    split = dataclasses.replace(_SPLIT, counts=(1.0, 4.0))
+    assert [type(n) for n in split.counts] == [int, int]
+    plan = SweepPlan(axes=(split, quantity))
+    assert run_sweep(gp_system, plan) == run_sweep(
+        gp_system, SweepPlan(axes=(_SPLIT, quantity)))

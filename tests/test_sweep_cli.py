@@ -420,14 +420,16 @@ class TestBadInputExits2:
         ('<split chip="tile" counts="4" io="mesh_link"/>',
          "missing attribute 'side_bandwidth'"),
         # and their ranges, before the first point builds a net from them
-        (SPLIT.format("4", "-5"), "<split>: side_bandwidth must be > 0"),
-        (SPLIT.format("4", "0"), "<split>: side_bandwidth must be > 0"),
+        (SPLIT.format("4", "-5"),
+         "<split tile>: side_bandwidth must be > 0"),
+        (SPLIT.format("4", "0"),
+         "<split tile>: side_bandwidth must be > 0"),
         ('<split chip="tile" counts="4" side_bandwidth="1024"'
          ' io="mesh_link" utilization="2"/>',
-         "<split>: utilization must be [0, 1]"),
+         "<split tile>: utilization must be [0, 1]"),
         ('<split chip="tile" counts="4" side_bandwidth="1024"'
          ' io="mesh_link" utilization="-1"/>',
-         "<split>: utilization must be [0, 1]"),
+         "<split tile>: utilization must be [0, 1]"),
         # so are those of <param> and of the <sweep> root
         ('<param target="system.chip[tile].core_area" values="100,200"'
          ' step="5"/>', "step"),
