@@ -3,7 +3,10 @@
 Two dicing models. Grid dicing cuts the whole wafer on shared lines, so
 every die sits on one rectangular grid; the grid phase is seeded by
 placing the first column of h dies flush against the usable circle and
-the best h wins. Free dicing (laser or plasma) lets each row slide
+the best h wins. One table of half-chords at every half row pitch gives
+each h its phase and each row its breakpoints; each h gets a bisected
+count and an upper bound, and only heights whose bound beats the best
+are counted exactly. Free dicing (laser or plasma) lets each row slide
 independently, so every row packs the full chord at its worse edge.
 """
 from __future__ import annotations
@@ -33,63 +36,6 @@ def _row_count(r2: float, pitch_x: float, pitch_y: float, x0: float,
     return max(0, j_hi - j_lo + 1)
 
 
-class _RowSteps:
-    """The rows of every grid seeded by an h of one parity, as step
-    functions of the column phase phi = frac(-x0 / pitch_x).
-
-    The first column of h dies spans |y| <= h * pitch_y / 2, so the row
-    bottoms sit at (t - parity / 2) * pitch_y for whole t: the rows depend
-    on h only through its parity. A row whose half-chord is a = q + g
-    pitches (q whole, 0 <= g < 1) holds 2q + [phi >= lo] - [phi > hi]
-    dies, lo = 1 - g - eps and hi = g + eps, so a grid's count is two
-    bisections over the sorted breakpoints. Rows with a breakpoint within
-    `tie` of phi are recounted with the grid's own arithmetic, which keeps
-    the count exact where float rounding could tip a die in or out. The
-    check is cyclic (breakpoints also at lo +- 1, hi +- 1): the formula is
-    one die short when phi >= 1 + lo or phi <= hi - 1, which takes a
-    breakpoint within eps of 0 or 1.
-    """
-
-    def __init__(self, r: float, pitch_x: float, pitch_y: float,
-                 parity: int, tie: float):
-        self.tie = tie
-        self.rows = []          # (t, q, lo, hi)
-        self.base = 0
-        n = int(r / pitch_y) + 2
-        for t in range(-n, n + 1):
-            y_bot = (t - parity / 2.0) * pitch_y
-            y_worst = max(abs(y_bot), abs(y_bot + pitch_y))
-            rem = r * r - y_worst * y_worst
-            a = math.sqrt(rem) / pitch_x if rem > 0.0 else 0.0
-            q = int(a)
-            lo, hi = 1.0 - (a - q) - _EPS, (a - q) + _EPS
-            if q > 0 or lo <= hi + 2.0 * tie:   # else never holds a die
-                self.base += 2 * q
-                self.rows.append((t, q, lo, hi))
-        self.los = sorted(row[2] for row in self.rows)
-        self.his = sorted(row[3] for row in self.rows)
-        ties = sorted((b + k, idx) for idx, row in enumerate(self.rows)
-                      for b in row[2:] for k in (-1.0, 0.0, 1.0)
-                      if -tie <= b + k <= 1.0 + tie)
-        self.tie_keys = [key for key, _ in ties]
-        self.tie_rows = [idx for _, idx in ties]
-
-    def count(self, r2: float, pitch_x: float, pitch_y: float, h: int,
-              x0: float, y0: float) -> int:
-        c = -x0 / pitch_x
-        phi = c - math.floor(c)
-        n = (self.base + bisect_right(self.los, phi)
-             - bisect_left(self.his, phi))
-        i0 = bisect_left(self.tie_keys, phi - self.tie)
-        i1 = bisect_right(self.tie_keys, phi + self.tie)
-        for idx in set(self.tie_rows[i0:i1]):
-            t, q, lo, hi = self.rows[idx]
-            n += _row_count(r2, pitch_x, pitch_y, x0,
-                            y0 + (t + h // 2) * pitch_y) \
-                - (2 * q + (phi >= lo) - (phi > hi))
-        return n
-
-
 @lru_cache(maxsize=65536)
 def grid_packing(die_x: float, die_y: float, wafer_diameter: float,
                  edge_exclusion: float, scribe_x: float,
@@ -99,6 +45,21 @@ def grid_packing(die_x: float, die_y: float, wafer_diameter: float,
     For each h the leftmost column of h dies is pushed flush against the
     circle (its left corners on the boundary), which fixes the grid phase;
     all grid cells fully inside then count, partial columns included.
+
+    Chord table: a[j] is the half-chord at height j * pitch_y / 2, in
+    pitches. The column of h dies has -x0 / pitch_x == a[h], so its phase
+    is phi = frac(a[h]), and its grid's rows are mirrored pairs with worse
+    edges at each j of h's parity (j = 1 is a single row): each pair is
+    built once and weighted 2. A row of a[j] = q + g holds
+    2q + [phi >= lo] - [phi > hi] dies, lo = 1 - g - eps, hi = g + eps,
+    so a grid's count n(h) is two bisections over its parity's sorted
+    breakpoints. A row with a breakpoint within `tie` of phi (cyclically:
+    the formula is one die short when phi >= 1 + lo or phi <= hi - 1) may
+    be tipped by float rounding, so it is recounted with the grid's own
+    arithmetic. Bound: the formula gives a row at least 2q - 1 dies, and
+    a chord under 2q + 2 pitches holds at most 2q + 2 (eps included), so
+    n(h) + 3 per weighted tied row bounds h's count. Heights are counted
+    exactly in falling bound order until no bound beats the best.
     O((R + H) log R) for R rows and H heights.
     """
     r = wafer_diameter / 2.0 - edge_exclusion
@@ -110,17 +71,52 @@ def grid_packing(die_x: float, die_y: float, wafer_diameter: float,
     # from the square root of its chord; a wider window costs only a few
     # more exact recounts
     tie = 1e-7 + 1e-13 * (r / pitch_x) ** 2
-    steps = [_RowSteps(r, pitch_x, pitch_y, parity, tie)
-             for parity in (0, 1)]
     r2 = r * r
+    h_max = int(2.0 * r / pitch_y + _EPS)
+    half = [j * pitch_y / 2.0 for j in range(h_max + 2)]
+    a = [math.sqrt(max(0.0, r2 - y * y)) / pitch_x for y in half]
+    rows = {}       # j -> (q, lo, hi) of the row pair at height j
+    heights = []    # (bound, h, n(h), phi, tied rows j)
+    for parity in (0, 1):
+        base, los, his, ties = 0, [], [], []
+        for j in range(2 - parity, h_max + 2, 2):
+            q = int(a[j])
+            lo, hi = 1.0 - (a[j] - q) - _EPS, (a[j] - q) + _EPS
+            if q > 0 or lo <= hi + 2.0 * tie:   # else never holds a die
+                w = 1 if j == 1 else 2
+                rows[j] = (q, lo, hi)
+                base += 2 * w * q
+                los += (lo,) * w
+                his += (hi,) * w
+                ties += ((lo, j), (hi, j))
+        ties += ([(b - 1.0, j) for b, j in ties if b - 1.0 >= -tie]
+                 + [(b + 1.0, j) for b, j in ties if b + 1.0 <= 1.0 + tie])
+        los.sort()
+        his.sort()
+        ties.sort()
+        keys = [key for key, _ in ties]
+        for h in range(2 - parity, h_max + 1, 2):
+            if half[h] > r * (1.0 + _EPS):
+                break
+            phi = a[h] - math.floor(a[h])
+            n = base + bisect_right(los, phi) - bisect_left(his, phi)
+            near = {j for _, j in ties[bisect_left(keys, phi - tie):
+                                      bisect_right(keys, phi + tie)]}
+            heights.append((n + 3 * (2 * len(near) - (1 in near)), h, n,
+                            phi, near))
+    heights.sort(reverse=True)
     best = 0
-    for h in range(1, int(2.0 * r / pitch_y + _EPS) + 1):
-        half_height = h * pitch_y / 2.0
-        if half_height > r * (1.0 + _EPS):
+    for bound, h, n, phi, near in heights:
+        if bound <= best:
             break
-        x0 = -math.sqrt(max(0.0, r2 - half_height * half_height))
-        best = max(best, steps[h % 2].count(r2, pitch_x, pitch_y, h, x0,
-                                            -half_height))
+        x0 = -math.sqrt(max(0.0, r2 - half[h] * half[h]))
+        for j in near:
+            q, lo, hi = rows[j]
+            for i in {(h + j) // 2 - 1, (h - j) // 2}:
+                n += _row_count(r2, pitch_x, pitch_y, x0,
+                                -half[h] + i * pitch_y) \
+                    - (2 * q + (phi >= lo) - (phi > hi))
+        best = max(best, n)
     return best
 
 

@@ -17,6 +17,7 @@ import mpmath
 import pytest
 
 import chipcost as cc
+from chipcost import wafer
 from chipcost.cli import main
 from chipcost.engine import defect_yield, die_cost
 from chipcost.model import check_fields
@@ -436,11 +437,25 @@ def _best_cold_packing_s(side: float) -> float:
 
 
 def test_cold_grid_packing_of_a_1mm2_die_is_fast():
-    # bisecting row breakpoints per first-column height: about 4 ms; the
-    # naive packer, which recounts every row per height, about 110 ms
+    # one chord table and bisected row breakpoints per first-column
+    # height: about 1.1 ms; the naive packer, which recounts every row
+    # per height, about 110 ms
     assert _best_cold_packing_s(1.0) < 0.020
 
 
 def test_cold_grid_packing_of_a_004mm2_die_is_fast():
-    # about 14 ms; the naive packer takes about 1.6 s
+    # about 4.5 ms; the naive packer takes about 1.6 s
     assert _best_cold_packing_s(0.2) < 0.2
+
+
+@pytest.mark.parametrize("side, most", [(1.0, 133), (0.2, 245)])
+def test_cold_grid_packing_recounts_few_rows(monkeypatch, side, most):
+    # heights are counted exactly in falling order of an upper bound until
+    # none can beat the best: 64 and 24 exact row counts; recounting the
+    # tied rows of every height made 533 and 1,965
+    calls = []
+    row_count = wafer._row_count
+    monkeypatch.setattr(wafer, "_row_count",
+                        lambda *args: calls.append(args) or row_count(*args))
+    cc.grid_packing.__wrapped__(side, side, 300.0, 3.0, 0.1, 0.1)
+    assert 0 < len(calls) <= most

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,7 +326,7 @@ class TestCli:
 
     def test_unknown_io_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "netlist.xml"
-        src = open(data_path("handcheck", "netlist.xml")).read()
+        src = Path(data_path("handcheck", "netlist.xml")).read_text()
         write(bad, src.replace('io="link"', 'io="absent"', 1))
         code = main(["eval",
                      "--library", data_path("handcheck", "library.xml"),
@@ -339,7 +340,7 @@ class TestCli:
         # a defect density big enough to underflow the die yield to zero,
         # and full coverage so the tested yield follows it down
         lib = tmp_path / "library.xml"
-        src = open(data_path("handcheck", "library.xml")).read()
+        src = Path(data_path("handcheck", "library.xml")).read_text()
         src = src.replace('defect_density="0.001"', 'defect_density="1e300"')
         src = src.replace('fault_coverage="0.9"', 'fault_coverage="1.0"')
         write(lib, src)

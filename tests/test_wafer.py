@@ -158,6 +158,25 @@ class TestKernelsMatchNaivePackers:
         assert naive_grid_packing(*case)[0] == 30366
         assert_matches_naive(case)
 
+    def test_radius_on_whole_half_and_quarter_pitches(self):
+        # r / pitch_x = k, k + 1/2 or k + 1/4 puts the widest chords on
+        # whole, half and quarter pitches, and the Pythagorean radii 5, 20
+        # and 100 put other rows and column phases there: ties are densest
+        for k, frac, diameter, scribe, aspect in itertools.product(
+                (2, 5, 20, 100), (0.0, 0.5, 0.25), (200.0, 300.0, 450.0),
+                (0.0, 0.1), (1.0, 2.0)):
+            pitch = diameter / 2.0 / (k + frac)
+            assert_matches_naive((pitch - scribe, aspect * pitch - scribe,
+                                  diameter, 0.0, scribe, scribe))
+
+    def test_small_dies(self):
+        for case in ((0.3, 3.0, 200.0, 0.0, 0.1, 0.1),
+                     (0.5, 2.0, 300.0, 3.0, 0.1, 0.1),
+                     (3.0, 0.8, 200.0, 2.0, 0.0, 0.0),
+                     (1.0, 1.0, 200.0, 0.0, 0.0, 0.0),
+                     (1.5, 1.2, 450.0, 5.0, 0.05, 0.05)):
+            assert_matches_naive(case)
+
     def test_every_shipped_die(self):
         dies = shipped_dies()
         assert len(dies) > 10
