@@ -1,10 +1,10 @@
 """Command line entry points.
 
 Exit codes: 0 on success, 2 on any configuration problem (bad XML,
-failed validation, unresolved references, an --out that cannot be
-written), 3 when the system is valid but infeasible (infinite cost);
-the report is still written in that case so the infeasible nodes can
-be inspected.
+failed validation, unresolved references, an --out or stdout that
+cannot be written), 3 when the system is valid but infeasible
+(infinite cost); the report is still written in that case so the
+infeasible nodes can be inspected.
 """
 from __future__ import annotations
 
@@ -46,28 +46,27 @@ def _jobs(text: str) -> int:
 
 
 def _write(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
+    try:
+        if out_path:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write: {exc.strerror}", out_path)
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write: {exc.strerror}",
+                          out_path or "<stdout>")
 
 
-def _load(args) :
-    library = parse_library(args.library)
-    return parse_system(args.system, args.netlist, library)
+def _load(args):
+    return parse_system(args.system, args.netlist, parse_library(args.library))
 
 
 def _cmd_eval(args) -> int:
     system = _load(args)
     report = evaluate(derive(system))
-    if args.format == "json":
-        _write(report_to_json(report), args.out)
-    else:
-        _write(report_to_csv(report), args.out)
+    to_text = report_to_json if args.format == "json" else report_to_csv
+    _write(to_text(report), args.out)
     return EXIT_INFEASIBLE if report.infeasible else EXIT_OK
 
 

@@ -15,28 +15,25 @@ import math
 from .engine import CostReport, NodeCosts
 
 SCHEMA_VERSION = 1
-CATEGORIES = ("silicon", "assembly", "test", "scrap", "nre")
 
 
 def _num(value: float):
     return value if math.isfinite(value) else None
 
 
-# NodeCosts fields as JSON keys: the unit goes into two of the names, and
-# children are listed flat in "nodes" instead of nested.
-_NODE_KEYS = tuple(
-    (f.name, {"area": "area_mm2", "power": "power_w"}.get(f.name, f.name),
+# NodeCosts fields as JSON keys, in key order: the unit goes into two of
+# the names, and children are listed flat in "nodes" instead of nested.
+_NODE_KEYS = sorted(
+    ({"area": "area_mm2", "power": "power_w"}.get(f.name, f.name), f.name,
      f.type == "float")
     for f in dataclasses.fields(NodeCosts) if f.name != "children")
+# Without indent, json writes each flat record through its C encoder.
+_RECORDS = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 
 
-def _node_dict(n: NodeCosts) -> dict:
-    return {key: _num(getattr(n, name)) if is_float else getattr(n, name)
-            for name, key, is_float in _NODE_KEYS}
-
-
-def report_to_dict(report: CostReport) -> dict:
-    return {
+def report_to_json(report: CostReport) -> str:
+    """The report as json.dumps(indent=2, sort_keys=True) writes it."""
+    head = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "cost_total": _num(report.cost_total),
         "cost_re": _num(report.cost_re),
@@ -48,13 +45,16 @@ def report_to_dict(report: CostReport) -> dict:
         "power_w": _num(report.root.power),
         "infeasible": report.infeasible,
         "infeasible_paths": list(report.infeasible_paths),
-        "nodes": [_node_dict(n) for n in report.nodes],
-    }
-
-
-def report_to_json(report: CostReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+        "nodes": None,
+    }, indent=2, sort_keys=True, allow_nan=False)
+    records = _RECORDS.encode([
+        {key: _num(getattr(n, name)) if is_float else getattr(n, name)
+         for key, name, is_float in _NODE_KEYS} for n in report.nodes])
+    # an encoded string holds no raw newline: "},\n      {" ends a record
+    nodes = records[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    before, after = head.split('\n  "nodes": null')
+    return (f'{before}\n  "nodes": [\n    {{\n      {nodes}\n    }}\n  ]'
+            f'{after}\n')
 
 
 def breakdown_rows(report: CostReport) -> list[tuple[str, str, float]]:

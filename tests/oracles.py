@@ -10,7 +10,12 @@ The exception is the pair of naive packers (`naive_grid_packing`,
 take the slow, obvious route (every row recounted for every grid
 phase) and also return the per-column or per-row layout, so the fast
 kernels must match them exactly.
+
+`report_dict` builds the eval JSON document as one plain dict, which
+json.dumps(indent=2) writes through json's pure-Python encoder; the
+library's C-encoded records must give the same bytes.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -459,3 +464,37 @@ def simulate_rollup(ds, n, seed):
     cost, good = units(ds.root, n)
     return (float(cost.mean()), float(cost.std(ddof=1) / math.sqrt(n)),
             float(good.mean()))
+
+
+def report_dict(report) -> dict:
+    """The eval JSON document as a plain dict, one record per node, with
+    non-finite numbers as None: json.dumps(indent=2, sort_keys=True,
+    allow_nan=False) of it, plus a newline, are the bytes
+    `report_to_json` must write."""
+    def num(value):
+        return value if math.isfinite(value) else None
+
+    def record(node):
+        out = {}
+        for f in dataclasses.fields(node):
+            if f.name == "children":
+                continue
+            key = {"area": "area_mm2", "power": "power_w"}.get(f.name, f.name)
+            value = getattr(node, f.name)
+            out[key] = num(value) if f.type == "float" else value
+        return out
+
+    return {
+        "schema_version": 1,
+        "cost_total": num(report.cost_total),
+        "cost_re": num(report.cost_re),
+        "cost_nre": num(report.cost_nre),
+        "breakdown": {k: num(v) for k, v in report.breakdown.items()},
+        "yield_chip": num(report.root.yield_chip),
+        "quality_shipped": num(report.root.quality_shipped),
+        "area_mm2": num(report.root.area),
+        "power_w": num(report.root.power),
+        "infeasible": report.infeasible,
+        "infeasible_paths": list(report.infeasible_paths),
+        "nodes": [record(n) for n in report.nodes],
+    }

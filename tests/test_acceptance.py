@@ -11,7 +11,9 @@ Run with -v to get one pass/fail line per promise.
 import dataclasses
 import math
 import random
+import sys
 import time
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -392,7 +394,7 @@ def test_cross_field_checks_see_every_axis_of_a_point(
     # a bidirectional IO needs tx_area == rx_area: a point is checked only
     # once both of its axes are applied
     lib = tmp_path / "library.xml"
-    src = open(config_path("graph_processor", "library.xml")).read()
+    src = Path(config_path("graph_processor", "library.xml")).read_text()
     lib.write_text(src.replace('bidirectional="false"',
                                'bidirectional="true"'))
     sweep = tmp_path / "sweep.xml"
@@ -409,21 +411,44 @@ def test_cross_field_checks_see_every_axis_of_a_point(
     assert ("io 'mesh_link'" in err) == (code == 2), err
 
 
-def test_derive_scales_to_a_thousand_tiles(gp_system):
-    # derive makes one pass over the nets: at 1024 tiles it took 540 ms
-    # when every chip rescanned every net, and about 17 ms in one pass
+def _thousand_tiles(gp_system):
     axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
                      io_type="mesh_link", external_prefix="edge",
                      utilization=1.0)
     lib, root, nets = apply_split(gp_system.library, gp_system.root,
                                   gp_system.nets, axis, 1024)
-    system = cc.validate_system(root, nets, lib)
+    return cc.validate_system(root, nets, lib)
+
+
+def test_derive_scales_to_a_thousand_tiles(gp_system):
+    # derive makes one pass over the nets: at 1024 tiles it took 540 ms
+    # when every chip rescanned every net, and about 17 ms in one pass
+    system = _thousand_tiles(gp_system)
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()
         cc.derive(system)
         best = min(best, time.perf_counter() - t0)
     assert best < 0.2
+
+
+def test_json_report_makes_few_python_calls_per_node(gp_system):
+    # json.dumps(indent=2) runs json's pure-Python encoder: about 411
+    # Python-level calls per node at 1024 tiles; node records written by
+    # json's C encoder make about 23
+    report = cc.evaluate(cc.derive(_thousand_tiles(gp_system)))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        cc.report_to_json(report)
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls < 40 * len(report.nodes)
 
 
 def _best_cold_packing_s(side: float) -> float:

@@ -385,7 +385,7 @@ class TestBadInputExits2:
              ' io="mesh_link"/>')
 
     def run_cli(self, sweep, *extra, config="graph_processor",
-                command="sweep"):
+                command="sweep", stdout=subprocess.PIPE):
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         return subprocess.run(
@@ -394,7 +394,7 @@ class TestBadInputExits2:
              "--system", config_path(config, "system.xml"),
              "--netlist", config_path(config, "netlist.xml"),
              *(("--sweep", sweep) if sweep else ()), *extra],
-            capture_output=True, text=True, timeout=60,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=src))
 
     def assert_exits_2(self, proc, named):
@@ -523,6 +523,17 @@ class TestBadInputExits2:
                  if command == "sweep" else None)
         proc = self.run_cli(sweep, "--out", out, command=command)
         self.assert_exits_2(proc, f"{out}: cannot write")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_full_stdout(self, tmp_path, command):
+        # every write to /dev/full fails with ENOSPC
+        sweep = (sweep_xml(tmp_path, self.SPLIT.format("1,4", "1024"))
+                 if command == "sweep" else None)
+        with open("/dev/full", "w") as full:
+            proc = self.run_cli(sweep, command=command, stdout=full)
+        self.assert_exits_2(proc, "<stdout>: cannot write")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, tmp_path, jobs):
