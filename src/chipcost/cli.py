@@ -9,6 +9,7 @@ infeasible nodes can be inspected.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .derive import derive
@@ -54,19 +55,25 @@ def _write(text: str, out_path: str | None) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
+        if not out_path:
+            # drop what stdout still buffers, or the flush at exit fails too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ConfigError(f"cannot write: {exc.strerror}",
                           out_path or "<stdout>")
 
 
-def _load(args):
-    return parse_system(args.system, args.netlist, parse_library(args.library))
+def _load(args) :
+    library = parse_library(args.library)
+    return parse_system(args.system, args.netlist, library)
 
 
 def _cmd_eval(args) -> int:
     system = _load(args)
     report = evaluate(derive(system))
-    to_text = report_to_json if args.format == "json" else report_to_csv
-    _write(to_text(report), args.out)
+    if args.format == "json":
+        _write(report_to_json(report), args.out)
+    else:
+        _write(report_to_csv(report), args.out)
     return EXIT_INFEASIBLE if report.infeasible else EXIT_OK
 
 

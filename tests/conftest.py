@@ -3,6 +3,7 @@ import os
 import pytest
 
 import chipcost as cc
+from chipcost.sweep import SplitAxis, apply_split
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -15,6 +16,16 @@ def data_path(*parts: str) -> str:
 
 def config_path(*parts: str) -> str:
     return os.path.join(CONFIGS, *parts)
+
+
+def split_tiles(system, n):
+    """The system with its "tile" chip split into n tiles on a mesh."""
+    axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
+                     io_type="mesh_link", external_prefix="edge",
+                     utilization=1.0)
+    lib, root, nets = apply_split(system.library, system.root, system.nets,
+                                  axis, n)
+    return cc.validate_system(root, nets, lib)
 
 
 @pytest.fixture(scope="session")

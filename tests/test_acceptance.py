@@ -25,7 +25,7 @@ from chipcost.engine import defect_yield, die_cost
 from chipcost.model import check_fields
 from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, apply_field, \
     apply_split
-from conftest import config_path
+from conftest import config_path, split_tiles
 from gensys import check_invariants, make_system
 from oracles import grid_family_oracle, naive_sweep, stitch_layout_edges
 from test_fixture_oracle import spreadsheet
@@ -182,12 +182,7 @@ def test_randomized_systems_hold_invariants():
 
 
 def test_evaluation_is_fast_enough_for_sweeps(gp_system, handcheck_system):
-    axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
-                     io_type="mesh_link", external_prefix="edge",
-                     utilization=1.0)
-    lib, root, nets = apply_split(gp_system.library, gp_system.root,
-                                  gp_system.nets, axis, 64)
-    system = cc.validate_system(root, nets, lib)
+    system = split_tiles(gp_system, 64)
     assert sum(1 for c in system.root.walk() if not c.children) == 64
     best = math.inf
     for _ in range(5):
@@ -310,12 +305,7 @@ def test_library_sweeps_recheck_only_the_entries_their_axes_name(
 
 def test_library_sweeps_recost_only_the_subtrees_a_point_changed(
         gp_system, monkeypatch):
-    axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
-                     io_type="mesh_link", external_prefix="edge",
-                     utilization=1.0)
-    lib, root, nets = apply_split(gp_system.library, gp_system.root,
-                                  gp_system.nets, axis, 16)
-    base = cc.validate_system(root, nets, lib)
+    base = split_tiles(gp_system, 16)
     costed = []
 
     def counted(chip, library):
@@ -411,19 +401,10 @@ def test_cross_field_checks_see_every_axis_of_a_point(
     assert ("io 'mesh_link'" in err) == (code == 2), err
 
 
-def _thousand_tiles(gp_system):
-    axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
-                     io_type="mesh_link", external_prefix="edge",
-                     utilization=1.0)
-    lib, root, nets = apply_split(gp_system.library, gp_system.root,
-                                  gp_system.nets, axis, 1024)
-    return cc.validate_system(root, nets, lib)
-
-
 def test_derive_scales_to_a_thousand_tiles(gp_system):
     # derive makes one pass over the nets: at 1024 tiles it took 540 ms
     # when every chip rescanned every net, and about 17 ms in one pass
-    system = _thousand_tiles(gp_system)
+    system = split_tiles(gp_system, 1024)
     best = math.inf
     for _ in range(3):
         t0 = time.perf_counter()
@@ -436,7 +417,7 @@ def test_json_report_makes_few_python_calls_per_node(gp_system):
     # json.dumps(indent=2) runs json's pure-Python encoder: about 411
     # Python-level calls per node at 1024 tiles; node records written by
     # json's C encoder make about 23
-    report = cc.evaluate(cc.derive(_thousand_tiles(gp_system)))
+    report = cc.evaluate(cc.derive(split_tiles(gp_system, 1024)))
     calls = 0
 
     def count(frame, event, arg):

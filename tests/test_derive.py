@@ -7,8 +7,8 @@ from chipcost.derive import (derive, net_instances, place_pads,
                              power_pad_count, stack_area, tally_nets,
                              _band_area)
 from chipcost.derive import test_io_count as scan_io_count
-from chipcost.sweep import SplitAxis, apply_split
 from chipcost.wafer import reticle_fit
+from conftest import split_tiles
 from gensys import make_system
 from oracles import naive_net_tally
 
@@ -162,12 +162,8 @@ class TestNetTally:
 
     @pytest.mark.parametrize("n", (1, 16, 64, 256, 1024))
     def test_matches_per_chip_scans_on_tile_splits(self, gp_system, n):
-        axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
-                         io_type="mesh_link", external_prefix="edge",
-                         utilization=1.0)
-        lib, root, nets = apply_split(gp_system.library, gp_system.root,
-                                      gp_system.nets, axis, n)
-        cc.validate_system(root, nets, lib)
+        system = split_tiles(gp_system, n)
+        root, nets, lib = system.root, system.nets, system.library
         assert tally_nets(root, nets, lib) == naive_net_tally(root, nets, lib)
 
 

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 import chipcost as cc
-from chipcost.sweep import SplitAxis, apply_split
-from conftest import config_path, data_path
+from conftest import config_path, data_path, split_tiles
 from gensys import make_system
 from oracles import report_dict
 
@@ -22,15 +21,6 @@ HOSTILE = ('"', "\\", "ü", "\t", "},\n      {", '"nodes": null')
 def reference(report) -> str:
     return json.dumps(report_dict(report), indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
-
-
-def split_gp(system, n):
-    axis = SplitAxis(chip="tile", counts=(1,), side_bandwidth=1024.0,
-                     io_type="mesh_link", external_prefix="edge",
-                     utilization=1.0)
-    lib, root, nets = apply_split(system.library, system.root, system.nets,
-                                  axis, n)
-    return cc.validate_system(root, nets, lib)
 
 
 def rename(system, names):
@@ -67,7 +57,7 @@ def assert_matches_reference(system):
 
 @pytest.mark.parametrize("n", [1, 64, 1024])
 def test_graph_processor_splits(gp_system, n):
-    report = assert_matches_reference(split_gp(gp_system, n))
+    report = assert_matches_reference(split_tiles(gp_system, n))
     assert len(report.nodes) == n + 1
 
 
@@ -89,7 +79,7 @@ def test_infeasible_report(tmp_path):
 
 @pytest.mark.parametrize("infeasible", [False, True])
 def test_hostile_chip_names(gp_system, infeasible):
-    system = rename(split_gp(gp_system, 16), HOSTILE)
+    system = rename(split_tiles(gp_system, 16), HOSTILE)
     if infeasible:
         system = cc.validate_system(system.root, system.nets,
                                     doomed(system.library))

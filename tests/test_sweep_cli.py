@@ -527,8 +527,14 @@ class TestBadInputExits2:
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     @pytest.mark.parametrize("command", ["eval", "sweep"])
-    def test_full_stdout(self, tmp_path, command):
-        # every write to /dev/full fails with ENOSPC
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_stdout(self, tmp_path, monkeypatch, command, unbuffered):
+        # every write to /dev/full fails with ENOSPC; buffered stdout
+        # still holds the bytes when it is flushed again at exit
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
         sweep = (sweep_xml(tmp_path, self.SPLIT.format("1,4", "1024"))
                  if command == "sweep" else None)
         with open("/dev/full", "w") as full:
