@@ -264,7 +264,8 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
         cost_die=c_die, cost_test_self=c_test_self,
         cost_test_assembly=c_test_asm, cost_assembly=c_asm,
         cost_re_self=c_re_self, cost_re=c_re,
-        cost_nre_self=c_nre_self, cost_nre=c_nre, cost_scrap=scrap,
+        cost_nre_self=c_nre_self, cost_nre=c_nre,
+        cost_scrap=INF if c_re == INF else scrap,
         yield_die=y_die, yield_tested_self=y_tested_self,
         quality_self=q_self, yield_assembly=y_asm,
         yield_child_quality=y_child_q, yield_tested_assembly=y_tested_asm,

@@ -4,7 +4,10 @@ A sweep is a cartesian product over axes. The models are frozen
 dataclasses: a point rebuilds the pieces its values change and alters no
 other point's. Each axis is resolved and its values checked once, when
 it is built; a value it cannot apply at a point is refused naming the
-axis.
+axis. An axis answers for itself: when built it sets `points` (its
+values), `columns` (the row cells it adds), `entries` (the library
+(kind, name) pairs its values move) and `stage`, and apply(lib, root,
+nets, value) returns the three with the value applied, plus the cells.
 
 Each axis has a stage, the earliest one its values change: TREE for a
 chip or split axis, DERIVE for a library field marked "derive" in the
@@ -87,8 +90,9 @@ class FieldAxis:
     stage the field changes); a bad target, an unknown field or one that
     holds no number is refused there, as is an empty value list, a value
     that is not finite or one an int field cannot hold. The values are
-    kept as given. Errors name `context`, which is "<param target>"
-    unless the caller gives one."""
+    kept as given, as `points`; the one column is the target, and a
+    library target is the one entry. Errors name `context`, which is
+    "<param target>" unless the caller gives one."""
 
     target: str
     values: tuple[float, ...]
@@ -117,15 +121,12 @@ class FieldAxis:
         self.__dict__.update(
             context=ctx, kind=kind, name=name, field=field, is_int=is_int,
             stage=TREE if kind == "chip" else
-            DERIVE if field in derive_fields(cls) else COST)
+            DERIVE if field in derive_fields(cls) else COST,
+            points=self.values, columns=(self.target,),
+            entries=() if kind == "chip" else ((kind, name),))
 
-    @property
-    def column(self) -> str:
-        return self.target
-
-    @property
-    def points(self) -> tuple[float, ...]:
-        return self.values
+    def apply(self, lib, root, nets, value):
+        return (*apply_field(lib, root, nets, self, value), (value,))
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,9 @@ class SplitAxis:
     """A <split> element; its attributes are read and checked like the
     model's when it is built. `counts` must be a non-empty list of whole
     perfect squares of at most MAX_SPLIT_TILES tiles, and is kept as
-    ints. Errors name `context`, which is "<split chip>" unless the
-    caller gives one."""
+    ints, as `points`. Its columns are the count and the template's core
+    area per tile; it moves no entry. Errors name `context`, which is
+    "<split chip>" unless the caller gives one."""
 
     chip: str
     counts: tuple[int, ...]
@@ -162,16 +164,15 @@ class SplitAxis:
                     "<split> counts must be perfect squares, got "
                     f"{format_value(n)}", ctx)
         check_fields(self, ctx)
-        self.__dict__.update(context=ctx,
-                             counts=tuple(int(n) for n in self.counts))
+        counts = tuple(int(n) for n in self.counts)
+        self.__dict__.update(
+            context=ctx, counts=counts, points=counts, entries=(),
+            columns=(f"split.{self.chip}", f"{self.chip}.core_area_each"))
 
-    @property
-    def column(self) -> str:
-        return f"split.{self.chip}"
-
-    @property
-    def points(self) -> tuple[int, ...]:
-        return self.counts
+    def apply(self, lib, root, nets, n):
+        split = apply_split(lib, root, nets, self, n)
+        area = next(c.core_area for c in root.walk() if c.name == self.chip)
+        return (*split, (n, area / n))
 
 
 @dataclass(frozen=True)
@@ -246,18 +247,19 @@ def parse_sweep(path: str) -> SweepPlan:
     return SweepPlan(axes=tuple(axes))
 
 
-def _replace_in_tree(chip: ChipSpec, name: str,
-                     change: dict) -> tuple[ChipSpec, int]:
-    hits = 0
-    children = []
+def _rewrite(chip: ChipSpec, name: str,
+             swap) -> tuple[tuple[ChipSpec, ...], int]:
+    """chip's tree rewritten bottom-up, each chip named `name` ("*":
+    every chip) replaced by the chips swap(chip, its rewritten children)
+    returns: the chips that stand for `chip`, and the swap count."""
+    hits, children = 0, []
     for c in chip.children:
-        new_c, n = _replace_in_tree(c, name, change)
-        children.append(new_c)
+        new, n = _rewrite(c, name, swap)
+        children.extend(new)
         hits += n
-    matched = name == "*" or chip.name == name
-    return (dataclasses.replace(chip, children=tuple(children),
-                                **(change if matched else {})),
-            hits + matched)
+    if name == "*" or chip.name == name:
+        return swap(chip, tuple(children)), hits + 1
+    return (dataclasses.replace(chip, children=tuple(children)),), hits
 
 
 def apply_field(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
@@ -267,7 +269,8 @@ def apply_field(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
         value = int(value)      # a whole number, checked when built
     change = {axis.field: value}
     if axis.kind == "chip":
-        root, hits = _replace_in_tree(root, axis.name, change)
+        (root,), hits = _rewrite(root, axis.name, lambda c, children: (
+            dataclasses.replace(c, children=children, **change),))
         if hits == 0:
             raise ValidationError(
                 f"no chip named '{axis.name}' in the system", axis.context)
@@ -284,47 +287,39 @@ def apply_field(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
 
 def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
                 axis: SplitAxis, n: int):
-    """Replace the template chip with an m x m mesh of equal shares."""
+    """Replace the template chip with an m x m mesh of equal shares.
+    Refused, in this order: no template, a template with children, an
+    unknown io type, a template that is the root."""
     m = math.isqrt(n)
     if m * m != n:
         raise ValidationError(f"split count {n} is not a perfect square",
                               axis.context)
 
-    template = next((c for c in root.walk() if c.name == axis.chip), None)
-    if template is None:
+    def tile_name(r: int, c: int) -> str:
+        return f"{axis.chip}_{r}_{c}"
+
+    def tiles(template: ChipSpec, children: tuple) -> tuple[ChipSpec, ...]:
+        if children:
+            raise ValidationError("the split template must be a leaf chip",
+                                  axis.context)
+        return tuple(
+            dataclasses.replace(
+                template,
+                name=tile_name(r, c),
+                core_area=template.core_area / n,
+                core_power=template.core_power / n,
+                quantity=template.quantity * n)
+            for r in range(m) for c in range(m))
+
+    roots, hits = _rewrite(root, axis.chip, tiles)
+    if hits == 0:
         raise ValidationError(f"no chip named '{axis.chip}' to split",
-                              axis.context)
-    if template.children:
-        raise ValidationError("the split template must be a leaf chip",
                               axis.context)
     if axis.io_type not in lib.ios:
         raise ValidationError(f"unknown io type '{axis.io_type}'",
                               axis.context)
-
-    def tile_name(r: int, c: int) -> str:
-        return f"{axis.chip}_{r}_{c}"
-
-    tiles = tuple(
-        dataclasses.replace(
-            template,
-            name=tile_name(r, c),
-            core_area=template.core_area / n,
-            core_power=template.core_power / n,
-            quantity=template.quantity * n)
-        for r in range(m) for c in range(m))
-
-    def rebuild(chip: ChipSpec) -> ChipSpec:
-        new_children = []
-        for c in chip.children:
-            if c.name == axis.chip:
-                new_children.extend(tiles)
-            else:
-                new_children.append(rebuild(c))
-        return dataclasses.replace(chip, children=tuple(new_children))
-
     if root.name == axis.chip:
         raise ValidationError("cannot split the root chip", axis.context)
-    new_root = rebuild(root)
 
     link_bw = axis.side_bandwidth / m
     new_nets = [x for x in nets
@@ -340,7 +335,7 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
     new_nets.extend(NetSpec(source=src, dest=dst, io_type=axis.io_type,
                             bandwidth=link_bw, utilization=axis.utilization)
                     for src, dst in links)
-    return lib, new_root, tuple(new_nets)
+    return lib, roots[0], tuple(new_nets)
 
 
 OUTPUT_COLUMNS = ("cost_total", "cost_silicon", "cost_assembly", "cost_test",
@@ -349,13 +344,8 @@ OUTPUT_COLUMNS = ("cost_total", "cost_silicon", "cost_assembly", "cost_test",
 
 
 def sweep_columns(plan: SweepPlan) -> tuple[str, ...]:
-    cols = []
-    for axis in plan.axes:
-        cols.append(axis.column)
-        if isinstance(axis, SplitAxis):
-            cols.append(f"{axis.chip}.core_area_each")
-    cols.extend(OUTPUT_COLUMNS)
-    return tuple(cols)
+    return (*(c for axis in plan.axes for c in axis.columns),
+            *OUTPUT_COLUMNS)
 
 
 def run_sweep(base: ValidatedSystem, plan: SweepPlan,
@@ -384,7 +374,7 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
         if size > MAX_SWEEP_POINTS:
             raise ValidationError(
                 f"more than {MAX_SWEEP_POINTS} points once axis "
-                f"'{axis.column}' joins the product", "sweep")
+                f"'{axis.columns[0]}' joins the product", "sweep")
     order = sorted(range(len(plan.axes)), key=lambda k: plan.axes[k].stage)
     if jobs > 1 and (rows := _fork_walk(base, plan, order, jobs)):
         return rows
@@ -465,10 +455,9 @@ def _walk(base: ValidatedSystem, plan: SweepPlan, order: list[int] | range,
     # a row's position: its value indices in declaration order
     stride = [math.prod(len(a.points) for a in plan.axes[k + 1:])
               for k in order]
-    # the declaration index of each cell in visiting order (a split has
-    # two); a stable sort by it puts a row's cells in declaration order
-    owner = [k for k in order
-             for _ in range(1 + isinstance(plan.axes[k], SplitAxis))]
+    # the declaration index of each cell in visiting order; a stable
+    # sort by it puts a row's cells in declaration order
+    owner = [k for k in order for _ in plan.axes[k].columns]
     perm = sorted(range(len(owner)), key=owner.__getitem__)
     # the earliest stage a point re-runs once it re-applies axes[k:]
     floor = [min(a.stage for a in axes[k:]) for k in range(len(axes))]
@@ -493,18 +482,10 @@ def _walk(base: ValidatedSystem, plan: SweepPlan, order: list[int] | range,
         entries = {}    # the entries the re-applied library axes name
         for axis, i, step in zip(axes[start:], index[start:],
                                  stride[start:]):
-            value = axis.points[i]
             pos += i * step
-            if isinstance(axis, FieldAxis):
-                lib, root, nets = apply_field(lib, root, nets, axis, value)
-                cells += (value,)
-                if axis.kind != "chip":
-                    entries[axis.kind, axis.name] = None
-            else:
-                lib, split, nets = apply_split(lib, root, nets, axis, value)
-                cells += (value, next(c.core_area for c in root.walk()
-                                      if c.name == axis.chip) / value)
-                root = split
+            lib, root, nets, new = axis.apply(lib, root, nets, axis.points[i])
+            cells += new
+            entries.update(dict.fromkeys(axis.entries))
             prefix.append((lib, root, nets, cells, pos))
         if stage == TREE:
             system = validate_system(root, nets, lib)

@@ -253,6 +253,8 @@ def test_sweeps_derive_at_most_once_per_point(gp_system, derive_calls):
     assert len(rows) == 16
     # once per split x quantity, the two axes that reach derive
     assert len(derive_calls) == 4
+    # the only plan that sets every chip after a split, tiles included
+    assert rows == naive_sweep(gp_system, plan)
 
 
 def test_a_defect_sweep_builds_each_split_once(gp_system, derive_calls,

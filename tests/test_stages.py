@@ -310,7 +310,7 @@ def test_a_later_axis_on_the_same_target_wins_at_every_point(gp_system,
     plan = SweepPlan(axes=axes)
     rows = run_sweep(gp_system, plan)
     assert rows == naive_sweep(gp_system, plan)
-    if axes[0].column == _DENSITY:      # the first axis no longer matters
+    if axes[0].columns[0] == _DENSITY:  # the first axis no longer matters
         half = len(rows) // 2
         assert rows[:half] == [(0.001, *row[1:]) for row in rows[half:]]
 

@@ -218,6 +218,27 @@ class TestApplySplit:
         with pytest.raises(ValidationError, match="root"):
             apply_split(system.library, system.root, system.nets, axis, 4)
 
+    def test_non_leaf_template_is_named_before_the_io_type(
+            self, handcheck_system):
+        axis = SplitAxis(chip="base", counts=(4,), side_bandwidth=1.0,
+                         io_type="absent", external_prefix="edge",
+                         utilization=1.0)
+        with pytest.raises(ValidationError, match="leaf"):
+            apply_split(handcheck_system.library, handcheck_system.root,
+                        handcheck_system.nets, axis, 4)
+
+    def test_io_type_is_named_before_the_root(self, handcheck_library):
+        solo = cc.ChipSpec(name="die", core_area=10.0, core_power=0.0,
+                           core_voltage=1.0, quantity=1000,
+                           layers=("die_metal",), wafer_process="wf300",
+                           test_self="t_die", assembly_process="bond25")
+        system = cc.validate_system(solo, (), handcheck_library)
+        axis = SplitAxis(chip="die", counts=(4,), side_bandwidth=1.0,
+                         io_type="absent", external_prefix="edge",
+                         utilization=1.0)
+        with pytest.raises(ValidationError, match="unknown io type"):
+            apply_split(system.library, system.root, system.nets, axis, 4)
+
     def test_split_systems_evaluate(self, gp_system):
         lib, root, nets = self.split(gp_system, 4)
         report = cc.evaluate(cc.derive(cc.validate_system(root, nets, lib)))
@@ -353,6 +374,31 @@ class TestCli:
         import json
         doc = json.loads(out.read_text())
         assert doc["infeasible"] is True
+
+    def test_infeasible_rows_carry_inf_scrap(self, tmp_path):
+        # a tile no wafer holds: its die cost, and every cost above it, is
+        # inf, and so is its scrap (inf - inf would print nan)
+        gp = Path(config_path("graph_processor"))
+        args = ["--library", str(gp / "library.xml"),
+                "--netlist", str(gp / "netlist.xml")]
+        system = tmp_path / "system.xml"
+        write(system, (gp / "system.xml").read_text().replace(
+            'name="tile" core_area="800.0"', 'name="tile" core_area="100000"'))
+        out = tmp_path / "report.csv"
+        assert main(["eval", *args, "--system", str(system),
+                     "--format", "csv", "--out", str(out)]) == 3
+        scrap = [line for line in out.read_text().splitlines()
+                 if ",scrap," in line]
+        assert scrap == ["substrate,scrap,inf", "substrate/tile,scrap,inf"]
+        sweep = sweep_xml(tmp_path, '<param target="system.chip[tile].'
+                                    'core_area" values="800,100000"/>')
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *args, "--system", str(gp / "system.xml"),
+                     "--sweep", sweep, "--out", str(out)]) == 3
+        feasible, infeasible = rows_of(out.read_text())
+        assert math.isfinite(float(feasible["cost_scrap"]))
+        assert infeasible["infeasible"] == "1"
+        assert infeasible["cost_total"] == infeasible["cost_scrap"] == "inf"
 
     def test_sweep_bad_target_exits_2(self, tmp_path, capsys):
         sweep = sweep_xml(tmp_path, '<param target="library.layer[nope].'
