@@ -344,7 +344,10 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
     if chip.black_box_power is not None:
         p_total = chip.black_box_power
     else:
-        p_total = chip.core_power + sum(c.power_total for c in children) + p_io
+        p_total = 0.0   # folded left: sum() compensates floats from 3.12
+        for c in children:
+            p_total += c.power_total
+        p_total = chip.core_power + p_total + p_io
 
     a_core = chip.core_area
     a_io = tally.area_io[chip.name]

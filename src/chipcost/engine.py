@@ -16,10 +16,15 @@ zero) produce infinite costs tagged per node, never exceptions. A die
 whose wafer figures cannot be computed at all (too small to pack, or an
 exposure count past float range) never gets here: derive refuses it
 while fitting the die to its exposure field.
+
+evaluate's memo keeps, per node, its last costs and the library entries
+its subtree and its own die read: a sweep point re-costs only the nodes,
+and re-figures only the dies, that read an entry the point moved.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Collection
 from dataclasses import dataclass
 
@@ -137,39 +142,24 @@ def nre_cost_self(chip: DerivedChip, library: Library) -> float:
     be = spec.core_area * (wp.nre_be_logic * spec.logic_fraction
                            + wp.nre_be_memory * spec.memory_fraction
                            + wp.nre_be_analog * spec.analog_fraction)
-    masks = spec.reticle_share * sum(library.layers[name].mask_cost
-                                     for name in spec.layers)
-    return (fe + be + masks) / spec.quantity
+    masks = 0.0     # folded left: sum() compensates floats from 3.12
+    for name in spec.layers:
+        masks += library.layers[name].mask_cost
+    return (fe + be + spec.reticle_share * masks) / spec.quantity
 
 
-@dataclass(frozen=True)
-class NodeCosts(Tree):
+class NodeCosts(namedtuple("NodeCosts", (
+        "name path area power cost_die cost_test_self cost_test_assembly"
+        " cost_assembly cost_re_self cost_re cost_nre_self cost_nre"
+        " cost_scrap yield_die yield_tested_self quality_self"
+        " yield_assembly yield_child_quality yield_tested_assembly"
+        " yield_chip quality_shipped infeasible children")), Tree):
     """Cost and yield numbers for one chip, children included in the
-    recurring figures."""
+    recurring figures: an immutable record. `name` and `path` are str,
+    `infeasible` a bool, `children` a tuple of NodeCosts; every other
+    field is a float."""
 
-    name: str
-    path: str
-    area: float
-    power: float
-    cost_die: float
-    cost_test_self: float
-    cost_test_assembly: float
-    cost_assembly: float
-    cost_re_self: float
-    cost_re: float
-    cost_nre_self: float
-    cost_nre: float
-    cost_scrap: float
-    yield_die: float
-    yield_tested_self: float
-    quality_self: float
-    yield_assembly: float
-    yield_child_quality: float
-    yield_tested_assembly: float
-    yield_chip: float
-    quality_shipped: float
-    infeasible: bool
-    children: tuple[NodeCosts, ...]
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -187,72 +177,91 @@ class CostReport:
         return tuple(self.root.walk())
 
 
-def _entries_read(chip: DerivedChip, memo: dict) -> frozenset:
+def _entries_read(chip: DerivedChip, memo: dict) -> tuple:
     """(kind, name) of each library entry that costing chip's subtree
     reads: what its "ref" fields name (a "parent" one only on a chip
-    with children), and its children's sets in memo."""
+    with children), and its children's sets in memo; then of those its
+    own die reads, what its fields not marked "parent" name."""
     reads = set().union(*(memo[id(c)][0] for c in chip.children))
+    own = set()
     for field, kind, parent in ref_fields(ChipSpec):
         if chip.children or not parent:
             names = getattr(chip.spec, field)
-            reads.update((kind, name) for name in
-                         (names if isinstance(names, tuple) else (names,)))
-    return frozenset(reads)
+            named = {(kind, name) for name in
+                     (names if isinstance(names, tuple) else (names,))}
+            reads |= named
+            if not parent:
+                own |= named
+    return frozenset(reads), frozenset(own)
 
 
 def _evaluate_node(chip: DerivedChip, library: Library, path: str,
-                   memo: dict | None, moved: Collection) -> NodeCosts:
-    last = memo.get(id(chip)) if memo is not None else None
-    if last is not None and last[0].isdisjoint(moved):
-        return last[1]
+                   memo: dict | None, moved: Collection,
+                   last: tuple | None) -> NodeCosts:
+    """chip's costs; `last` is its memo entry, which some entry it reads
+    moved since, or None."""
     spec = chip.spec
     my_path = f"{path}/{spec.name}" if path else spec.name
-    children = tuple(_evaluate_node(c, library, my_path, memo, moved)
-                     for c in chip.children)
+    # one pass over the children: their costs, each from the memo when
+    # nothing it reads moved, and their sums, folded left in child order
+    children = []
+    bonded_area = c_nre_children = c_re_children = 0.0
+    n_pins, y_child_q, bad_child = 0, 1.0, False
+    for c in chip.children:
+        entry = memo.get(id(c)) if memo is not None else None
+        costs = (entry[2] if entry is not None and entry[0].isdisjoint(moved)
+                 else _evaluate_node(c, library, my_path, memo, moved, entry))
+        children.append(costs)
+        bonded_area += c.area
+        n_pins += c.n_bonded_pins
+        c_nre_children += costs.cost_nre
+        c_re_children += costs.cost_re
+        y_child_q *= costs.quality_shipped
+        bad_child = bad_child or costs.infeasible
+    children = tuple(children)
 
-    c_die = die_cost(chip, library)
-    y_die = die_yield(chip, library)
-    tp_self = library.test_processes[spec.test_self]
-    c_test_self = test_cost(tp_self)
-    y_tested_self = tested_yield(tp_self.fault_coverage, y_die)
+    if last is not None and last[1].isdisjoint(moved):
+        # nothing the die reads moved: its figures stand
+        old = last[2]
+        (c_die, y_die, c_test_self, y_tested_self, q_self, c_re_self,
+         c_nre_self) = (old.cost_die, old.yield_die, old.cost_test_self,
+                        old.yield_tested_self, old.quality_self,
+                        old.cost_re_self, old.cost_nre_self)
+    else:
+        c_die = die_cost(chip, library)
+        y_die = die_yield(chip, library)
+        tp_self = library.test_processes[spec.test_self]
+        c_test_self = test_cost(tp_self)
+        y_tested_self = tested_yield(tp_self.fault_coverage, y_die)
+        q_self = (quality(y_die, y_tested_self) if y_tested_self > 0.0
+                  else 0.0)
+        c_re_self = ((c_die + c_test_self) / y_tested_self
+                     if y_tested_self > 0.0 else INF)
+        c_nre_self = nre_cost_self(chip, library)
     infeasible = not math.isfinite(c_die) or y_tested_self <= 0.0
-    q_self = quality(y_die, y_tested_self) if y_tested_self > 0.0 else 0.0
-    c_re_self = ((c_die + c_test_self) / y_tested_self
-                 if y_tested_self > 0.0 else INF)
-    c_nre_self = nre_cost_self(chip, library)
-    c_nre = c_nre_self + sum(c.cost_nre for c in children)
+    c_nre = c_nre_self + c_nre_children
 
     if children:
         asm = library.assembly_processes[spec.assembly_process]
         tp_asm = library.test_processes[spec.test_assembly]
         n_dies = len(chip.children)
-        bonded_area = sum(c.area for c in chip.children)
-        n_pins = sum(c.n_bonded_pins for c in chip.children)
         c_asm = assembly_cost(asm, n_dies, bonded_area)
         c_test_asm = test_cost(tp_asm)
         y_asm = assembly_yield(asm, n_pins, n_dies, bonded_area)
-        y_child_q = 1.0
-        for c in children:
-            y_child_q *= c.quality_shipped
         y_true_asm = y_asm * y_child_q
         y_tested_asm = tested_yield(tp_asm.fault_coverage, y_true_asm)
-        infeasible = (infeasible or y_tested_asm <= 0.0
-                      or any(c.infeasible for c in children))
-        upstream = c_asm + c_test_asm + c_re_self + sum(c.cost_re
-                                                        for c in children)
+        infeasible = infeasible or y_tested_asm <= 0.0 or bad_child
+        upstream = c_asm + c_test_asm + c_re_self + c_re_children
         c_re = upstream / y_tested_asm if y_tested_asm > 0.0 else INF
         q_asm = (quality(y_true_asm, y_tested_asm)
                  if y_tested_asm > 0.0 else 0.0)
         q_shipped = q_self * q_asm
         y_chip = y_die * y_asm * y_child_q
         scrap = c_re - (c_die + c_test_self + c_asm + c_test_asm) \
-            - sum(c.cost_re for c in children)
+            - c_re_children
     else:
-        c_asm = 0.0
-        c_test_asm = 0.0
-        y_asm = 1.0
-        y_child_q = 1.0
-        y_tested_asm = 1.0
+        c_asm = c_test_asm = 0.0
+        y_asm = y_tested_asm = 1.0
         c_re = c_re_self
         q_shipped = q_self
         y_chip = y_die
@@ -272,7 +281,7 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
         yield_chip=y_chip, quality_shipped=q_shipped,
         infeasible=infeasible, children=children)
     if memo is not None:
-        memo[id(chip)] = (last[0] if last else _entries_read(chip, memo),
+        memo[id(chip)] = (*(last[:2] if last else _entries_read(chip, memo)),
                           costs)
     return costs
 
@@ -282,17 +291,25 @@ def evaluate(ds: DerivedSystem, *, memo: dict | None = None,
     """Roll the whole tree up into a report with a category breakdown.
 
     `memo`, a dict the caller keeps for one derived tree, holds each
-    node's last costs: a node whose subtree reads none of the `moved`
-    library entries ((kind, name) pairs) returns them without recursing.
-    The breakdown still walks every node, so the sums keep their bits.
+    node's last costs and the library entries ((kind, name) pairs) its
+    subtree and its own die read. A node whose subtree reads none of the
+    `moved` entries returns its costs without recursing; one whose die
+    reads none keeps its die figures (cost_die to cost_nre_self). The
+    breakdown still walks every node, so the sums keep their bits.
     """
-    root = _evaluate_node(ds.root, ds.system.library, "", memo, moved)
+    last = memo.get(id(ds.root)) if memo is not None else None
+    root = (last[2] if last is not None and last[0].isdisjoint(moved)
+            else _evaluate_node(ds.root, ds.system.library, "", memo, moved,
+                                last))
     silicon = 0.0
     assembly = 0.0
     test = 0.0
     scrap = 0.0
     bad_paths = []
-    for n in root.walk():
+    stack = [root]      # pre-order: a node, then its children in order
+    while stack:
+        n = stack.pop()
+        stack.extend(reversed(n.children))
         silicon += n.cost_die
         assembly += n.cost_assembly
         test += n.cost_test_self + n.cost_test_assembly

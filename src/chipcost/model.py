@@ -39,6 +39,8 @@ class Tree:
     """A node whose `children` are nodes of its kind: a chip, a derived
     chip, a chip's costs. walk() yields it and every node below, pre-order."""
 
+    __slots__ = ()
+
     def walk(self):
         yield self
         for child in self.children:

@@ -7,7 +7,6 @@ infinite costs are tagged rather than emitted as non-standard JSON.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -24,9 +23,9 @@ def _num(value: float):
 # NodeCosts fields as JSON keys, in key order: the unit goes into two of
 # the names, and children are listed flat in "nodes" instead of nested.
 _NODE_KEYS = sorted(
-    ({"area": "area_mm2", "power": "power_w"}.get(f.name, f.name), f.name,
-     f.type == "float")
-    for f in dataclasses.fields(NodeCosts) if f.name != "children")
+    ({"area": "area_mm2", "power": "power_w"}.get(name, name), name,
+     name not in ("name", "path", "infeasible"))
+    for name in NodeCosts._fields if name != "children")
 # Without indent, json writes each flat record through its C encoder.
 _RECORDS = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
 

@@ -15,10 +15,16 @@ A deliberate change of numbers or formats regenerates the file:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-and CHANGES.md says which digests moved and why.
+and CHANGES.md says which digests moved and why. `--check` writes
+nothing: it prints the name of each digest that differs from the file
+and exits 1 if any does, 0 if none. It needs no pytest (nor numpy), so
+any installed interpreter can check byte-determinism on its own:
+
+    python3.12 tests/golden/regenerate.py --check
 """
 from __future__ import annotations
 
+import argparse
 import glob
 import hashlib
 import json
@@ -28,11 +34,13 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 TESTS = os.path.dirname(HERE)
 CONFIGS = os.path.join(os.path.dirname(TESTS), "configs")
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 DIGESTS = os.path.join(HERE, "digests.json")
 GENSYS_SEEDS = range(1000)
 
-if TESTS not in sys.path:
-    sys.path.insert(0, TESTS)
+for path in (SRC, TESTS):
+    if path not in sys.path:
+        sys.path.insert(0, path)
 
 import chipcost as cc  # noqa: E402
 from gensys import make_system  # noqa: E402
@@ -100,8 +108,25 @@ def load() -> dict[str, str]:
         return json.load(fh)
 
 
+def differing(got: dict[str, str], want: dict[str, str]) -> list[str]:
+    """Names of the digests missing from either side or unequal."""
+    return sorted(k for k in got.keys() | want.keys()
+                  if got.get(k) != want.get(k))
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the file instead of writing it")
+    args = parser.parse_args()
     digests = compute()
+    if args.check:
+        moved = differing(digests, load())
+        for name in moved:
+            print(name)
+        print(f"{len(moved)} of {len(digests)} digests differ "
+              f"(Python {sys.version.split()[0]})", file=sys.stderr)
+        sys.exit(1 if moved else 0)
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(digests, fh, indent=2, sort_keys=True)
         fh.write("\n")

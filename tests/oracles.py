@@ -15,7 +15,6 @@ kernels must match them exactly.
 json.dumps(indent=2) writes through json's pure-Python encoder; the
 library's C-encoded records must give the same bytes.
 """
-import dataclasses
 import math
 
 import numpy as np
@@ -476,12 +475,12 @@ def report_dict(report) -> dict:
 
     def record(node):
         out = {}
-        for f in dataclasses.fields(node):
-            if f.name == "children":
+        for name in node._fields:
+            if name == "children":
                 continue
-            key = {"area": "area_mm2", "power": "power_w"}.get(f.name, f.name)
-            value = getattr(node, f.name)
-            out[key] = num(value) if f.type == "float" else value
+            key = {"area": "area_mm2", "power": "power_w"}.get(name, name)
+            value = getattr(node, name)
+            out[key] = num(value) if isinstance(value, float) else value
         return out
 
     return {

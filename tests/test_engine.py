@@ -361,6 +361,31 @@ class TestEvaluate:
         assert untested.quality_self == pytest.approx(untested.yield_die)
 
 
+class TestNodeCostsRecord:
+    """Per-node costs are an immutable record, walked pre-order."""
+
+    def test_fields_cannot_be_assigned(self, handcheck_system):
+        node = evaluate(derive(handcheck_system)).root
+        for name in ("cost_die", "children", "brand_new"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, 0.0)
+        assert not hasattr(node, "__dict__")
+
+    @pytest.mark.parametrize("seed", range(0, 40, 4))
+    def test_walk_and_nodes_are_pre_order(self, seed):
+        system = make_system(seed)
+        rep = evaluate(derive(system))
+
+        def pre_order(chip):
+            return [chip.name, *(n for c in chip.children
+                                 for n in pre_order(c))]
+
+        want = pre_order(system.root)
+        assert [n.name for n in rep.root.walk()] == want
+        assert [n.name for n in rep.nodes] == want
+        assert [n.path.rsplit("/", 1)[-1] for n in rep.nodes] == want
+
+
 @pytest.mark.parametrize("source",
                          ("graph_processor", "coverage_study", *range(20)))
 def test_rollup_matches_a_monte_carlo_of_the_process_flow(source):

@@ -1,14 +1,60 @@
 """Byte-identity of every shipped output against committed digests.
 
 A refactor must leave these unchanged. A deliberate change of numbers
-regenerates them with `tests/golden/regenerate.py`.
+regenerates them with `tests/golden/regenerate.py`, whose `--check` runs
+the same comparison under any interpreter; the digests hold from Python
+3.10 on because no float total goes through sum() (checked here on the
+running version by swapping in a compensated sum).
 """
-from golden.regenerate import compute, load
+import builtins
+import dataclasses
+import importlib
+import math
+
+import chipcost as cc
+from gensys import make_system
+from golden.regenerate import compute, differing, load
 
 
 def test_outputs_match_golden_digests():
-    want = load()
-    got = compute()
-    assert sorted(got) == sorted(want)
-    moved = sorted(k for k in want if got[k] != want[k])
+    moved = differing(compute(), load())
     assert not moved, f"outputs changed: {moved}"
+
+
+def _compensated_sum(values, start=0):
+    """sum() as Python 3.12 and later compute it for floats, a compensated
+    total (here the exactly rounded one); ints add exactly either way."""
+    values = [start, *values]
+    if all(isinstance(v, int) for v in values):
+        return builtins.sum(values)
+    return math.fsum(values)
+
+
+def _three_mask_system() -> cc.ValidatedSystem:
+    """make_system(0) with its root on three layers whose mask costs,
+    1e7, 0.1 and 0.2, add up differently left to right and exactly
+    rounded."""
+    system = make_system(0)
+    layers = {name: dataclasses.replace(system.library.layers["l0"],
+                                        name=name, mask_cost=cost)
+              for name, cost in (("l0", 1e7), ("l1", 0.1), ("l2", 0.2))}
+    return cc.validate_system(
+        dataclasses.replace(system.root, layers=tuple(layers)), system.nets,
+        dataclasses.replace(system.library, layers=layers))
+
+
+def test_reports_do_not_depend_on_how_sum_adds_floats(monkeypatch):
+    """The digests hold on Python 3.10 to 3.13 only if no float total in
+    derive or evaluate goes through sum(), whose rounding changed in 3.12."""
+    systems = [make_system(seed) for seed in range(12)]
+    systems.append(_three_mask_system())
+
+    def outputs():
+        reports = [cc.evaluate(cc.derive(s)) for s in systems]
+        return [(cc.report_to_json(r), cc.report_to_csv(r)) for r in reports]
+
+    want = outputs()
+    for name in ("chipcost.derive", "chipcost.engine"):
+        monkeypatch.setattr(importlib.import_module(name), "sum",
+                            _compensated_sum, raising=False)
+    assert outputs() == want

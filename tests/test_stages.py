@@ -15,6 +15,7 @@ from chipcost.derive import DerivedSystem, derive
 from chipcost.engine import evaluate
 from chipcost.model import LIBRARY_KINDS, derive_fields, ref_fields
 from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, run_sweep
+from chipcost.wafer import dies_per_wafer
 from gensys import make_system
 from oracles import naive_sweep
 
@@ -98,6 +99,29 @@ def _naming(root: cc.ChipSpec, kind: str, name: str) -> set[str]:
     return out
 
 
+def _die_naming(root: cc.ChipSpec, kind: str, name: str) -> set[str]:
+    """Names of the chips whose "ref" fields not marked "parent" (what
+    the die alone reads) name entry (kind, name)."""
+    out = set()
+    for chip in root.walk():
+        for field, ref, parent in ref_fields(cc.ChipSpec):
+            names = getattr(chip, field)
+            if (ref == kind and not parent
+                    and name in (names if isinstance(names, tuple)
+                                 else (names,))):
+                out.add(chip.name)
+    return out
+
+
+# The figures of a node's own die, which its assembly does not move.
+_DIE = ("cost_die", "yield_die", "cost_test_self", "yield_tested_self",
+        "quality_self", "cost_re_self", "cost_nre_self")
+
+
+def _die(node) -> tuple:
+    return tuple(getattr(node, f) for f in _DIE)
+
+
 @pytest.mark.parametrize("seed", range(0, 120, 6))
 def test_the_ref_record_names_every_entry_a_nodes_costs_read(seed):
     system = make_system(seed)
@@ -116,9 +140,51 @@ def test_the_ref_record_names_every_entry_a_nodes_costs_read(seed):
             report = evaluate(ds)
             changed = {n.name for n in report.nodes if n != base[n.name]}
             assert changed == _naming(system.root, kind, name), (kind, name)
+            dies = {n.name for n in report.nodes
+                    if _die(n) != _die(base[n.name])}
+            assert dies <= _die_naming(system.root, kind, name), (kind, name)
             # the memo of the base re-costs just those nodes
             assert evaluate(ds, memo=dict(memo),
                             moved={(kind, name)}) == report
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 6))
+def test_a_point_moving_only_an_assembly_keeps_every_die_figure(seed,
+                                                                monkeypatch):
+    """Through a memo, a point that moves only the assembly entry re-costs
+    the chips with children but packs no die; points moving a layer or a
+    test entry in between keep the memo's die figures current."""
+    system = make_system(seed)
+    tree = derive(system)
+    memo = {}
+    evaluate(tree, memo=memo)
+    packed = []
+
+    def counted(*args):
+        packed.append(args)
+        return dies_per_wafer(*args)
+
+    monkeypatch.setattr(engine, "dies_per_wafer", counted)
+    lib = system.library
+    for kind, attr, name in (("assembly", "assembly_processes", "a"),
+                             ("layer", "layers", "l0"),
+                             ("assembly", "assembly_processes", "a"),
+                             ("test", "test_processes", "t1"),
+                             ("assembly", "assembly_processes", "a")):
+        table = dict(getattr(lib, attr))
+        table[name] = _perturb_entry(table[name])
+        lib = dataclasses.replace(lib, **{attr: table})
+        ds = DerivedSystem(
+            system=cc.ValidatedSystem(root=system.root, nets=system.nets,
+                                      library=lib),
+            matrices=tree.matrices, root=tree.root)
+        del packed[:]
+        report = evaluate(ds, memo=memo, moved={(kind, name)})
+        if kind == "assembly":
+            assert not packed
+        assert report == evaluate(ds)
+    if system.root.children:
+        assert report.root.cost_assembly != evaluate(tree).root.cost_assembly
 
 
 def test_every_library_lookup_in_evaluate_goes_through_a_ref_field():
