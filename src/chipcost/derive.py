@@ -11,7 +11,9 @@ core+IO silicon, its stack footprint, and the area its pads demand.
 Order matters and is deliberate: power first (it does not depend on
 area), then pads, then area. No iteration is needed. Each die is then
 fitted to its wafer and exposure field once, so evaluate reads the fit
-instead of recomputing it.
+instead of recomputing it. A leaf whose inputs, all but its name, match
+an earlier leaf's copies that leaf's figures, so the tiles of a split are
+derived once per call.
 
 IO cell area lands only on the two terminal chips of a net. A chip that
 merely routes a net between descendants accrues bumps for it, not cell
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import ValidationError
 from .model import (AssemblyProcessDef, ChipSpec, IODefinition, Library,
@@ -38,9 +41,10 @@ _EPS = 1e-12
 MAX_DIES_ACROSS = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DerivedChip(Tree):
-    """A chip with its physical quantities resolved."""
+    """A chip with its physical quantities resolved. Treated as immutable
+    after build; not frozen, so that copying a leaf's figures is cheap."""
 
     spec: ChipSpec
     children: tuple[DerivedChip, ...]
@@ -59,6 +63,13 @@ class DerivedChip(Tree):
     n_bonded_pins: int      # pads on the face bonded to the parent
     grown_for_pads: bool
     fit: ReticleFit         # the die on its process's exposure field
+
+
+# A leaf's figures depend on its spec only through these fields, all but
+# its name; a copy takes every field of the record after spec.
+_LEAF_INPUTS = attrgetter(*(f.name for f in fields(ChipSpec)
+                            if f.name != "name"))
+_FIGURES = attrgetter(*(f.name for f in fields(DerivedChip)[1:]))
 
 
 @dataclass(frozen=True)
@@ -328,7 +339,25 @@ def _check_die(area: float, side: float, wp: WaferProcessDef,
 
 
 def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
-                parent_asm: AssemblyProcessDef | None) -> DerivedChip:
+                parent_asm: AssemblyProcessDef | None,
+                memo: dict | None = None) -> DerivedChip:
+    """chip and its subtree. With a memo, a leaf whose inputs match a leaf
+    derived before into that memo copies its figures under its own spec;
+    only a leaf that passed every check is kept."""
+    key = None
+    if memo is not None and not chip.children:
+        # == takes -0.0 for 0.0: the two floats a leaf keeps unchanged
+        # (area_core, power_total) key the sign of a zero as well
+        a, p = chip.core_area, chip.black_box_power
+        name = chip.name
+        key = (*_LEAF_INPUTS(chip), a == 0.0 and repr(a),
+               p == 0.0 and repr(p), tally.area_io[name],
+               tally.power_io[name], *tally.crossing_pads[name].items(),
+               None, *tally.external_pads[name].items(), id(parent_asm))
+        hit = memo.get(key)
+        if hit is not None:
+            return DerivedChip(chip, *_FIGURES(hit))
+
     ctx = f"chip '{chip.name}'"
     own_asm = (library.assembly_processes[chip.assembly_process]
                if chip.assembly_process else None)
@@ -337,7 +366,7 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
         raise ValidationError("no assembly process governs this chip's pads",
                               ctx)
 
-    children = tuple(derive_chip(c, tally, library, own_asm)
+    children = tuple(derive_chip(c, tally, library, own_asm, memo)
                      for c in chip.children)
 
     p_io = tally.power_io[chip.name]
@@ -393,7 +422,7 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
     own_pads_below = sum(own_cross.values()) + sum(external.values())
     wp = library.wafer_processes[chip.wafer_process]
     _check_die(area, side, wp, ctx)
-    return DerivedChip(
+    derived = DerivedChip(
         spec=chip, children=children,
         area_core=a_core, area_io=a_io, area_stack=a_stack,
         area_pads=a_pads, area=area, dim_x=side, dim_y=side,
@@ -402,10 +431,13 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
         n_bonded_pins=own_pads_below + n_power + n_test,
         grown_for_pads=plan.grown,
         fit=reticle_fit(area, wp.reticle_x, wp.reticle_y))
+    if key is not None:
+        memo[key] = derived
+    return derived
 
 
 def derive(system: ValidatedSystem) -> DerivedSystem:
-    """Resolve the whole tree bottom-up."""
+    """Resolve the whole tree bottom-up, each distinct leaf once."""
     tally = tally_nets(system.root, system.nets, system.library)
-    root = derive_chip(system.root, tally, system.library, parent_asm=None)
+    root = derive_chip(system.root, tally, system.library, None, {})
     return DerivedSystem(system=system, matrices=tally.matrices, root=root)

@@ -352,6 +352,36 @@ def naive_net_tally(root, nets, library):
         matrices=matrices)
 
 
+def derive_without_memo(system):
+    """The derived system with every chip derived in full: derive_chip
+    called without a leaf memo, so no leaf copies another's figures."""
+    from chipcost.derive import DerivedSystem, derive_chip, tally_nets
+
+    tally = tally_nets(system.root, system.nets, system.library)
+    root = derive_chip(system.root, tally, system.library, None)
+    return DerivedSystem(system=system, matrices=tally.matrices, root=root)
+
+
+def derived_differences(a, b) -> list:
+    """(chip, field) of each figure whose repr differs between two derived
+    trees, pre-order; repr tells -0.0 from 0.0, which == does not. The
+    specs must be the same objects."""
+    import dataclasses
+    import itertools
+
+    from chipcost.derive import DerivedChip
+
+    names = [f.name for f in dataclasses.fields(DerivedChip)
+             if f.name not in ("spec", "children")]
+    out = []
+    for x, y in itertools.zip_longest(a.walk(), b.walk()):
+        if x is None or y is None or x.spec is not y.spec:
+            return out + [((x or y).spec.name, "spec")]
+        out += [(x.spec.name, n) for n in names
+                if repr(getattr(x, n)) != repr(getattr(y, n))]
+    return out
+
+
 def naive_sweep(base, plan):
     """Every row of a sweep by the plain per-point pipeline: each point's
     values applied to the base, then validate_system, derive and evaluate

@@ -9,6 +9,7 @@ Run with -v to get one pass/fail line per promise.
 """
 
 import dataclasses
+import importlib
 import math
 import random
 import sys
@@ -27,7 +28,8 @@ from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, apply_field, \
     apply_split
 from conftest import config_path, split_tiles
 from gensys import check_invariants, make_system
-from oracles import grid_family_oracle, naive_sweep, stitch_layout_edges
+from oracles import (derive_without_memo, derived_differences,
+                     grid_family_oracle, naive_sweep, stitch_layout_edges)
 from test_fixture_oracle import spreadsheet
 
 
@@ -413,6 +415,36 @@ def test_derive_scales_to_a_thousand_tiles(gp_system):
         cc.derive(system)
         best = min(best, time.perf_counter() - t0)
     assert best < 0.2
+
+
+def test_derive_fits_each_distinct_tile_once(gp_system, monkeypatch):
+    # the tiles of a split differ only in name and in how many mesh
+    # neighbours and edge links they have: corner, edge and interior.
+    # derive copies a tile whose inputs it has seen, so with the root it
+    # fits 4 dies to the reticle at any n >= 16; deriving every tile in
+    # full fits n + 1
+    module = importlib.import_module("chipcost.derive")
+    fit = module.reticle_fit
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return fit(*args)
+
+    monkeypatch.setattr(module, "reticle_fit", counted)
+    for n in (1, 16, 64, 256, 1024):
+        system = split_tiles(gp_system, n)
+        calls = 0
+        derived = cc.derive(system)
+        assert calls == 2 if n == 1 else calls <= 4, (n, calls)
+        assert derived_differences(
+            derived.root, derive_without_memo(system).root) == [], n
+    for seed in range(200):
+        system = make_system(seed)
+        assert derived_differences(
+            cc.derive(system).root,
+            derive_without_memo(system).root) == [], seed
 
 
 def test_json_report_makes_few_python_calls_per_node(gp_system):

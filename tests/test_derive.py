@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +10,11 @@ from chipcost.derive import (derive, net_instances, place_pads,
                              power_pad_count, stack_area, tally_nets,
                              _band_area)
 from chipcost.derive import test_io_count as scan_io_count
+from chipcost.model import _field_checks
 from chipcost.wafer import reticle_fit
 from conftest import split_tiles
 from gensys import make_system
-from oracles import naive_net_tally
+from oracles import derive_without_memo, derived_differences, naive_net_tally
 
 IO4 = cc.IODefinition(name="io4", tx_area=0.1, rx_area=0.2, bandwidth=4.0,
                       reach=2.0, wires_per_instance=4, energy_per_bit=1.0)
@@ -429,3 +433,151 @@ class TestDeriveTree:
         ds = derive(handcheck_system)
         for m in ds.matrices.values():
             assert all(s != d for (s, d) in m)
+
+
+# ChipSpec's float fields whose check admits 0, and so -0.0
+_TYPES = {f.name: f.type for f in dataclasses.fields(cc.ChipSpec)}
+ZERO_FLOATS = [name for name, _, ok in _field_checks(cc.ChipSpec)
+               if _TYPES[name].startswith("float") and ok(-0.0)]
+# what else a tile needs to stay valid with that field at zero
+_BESIDE = {"core_voltage": {"black_box_power": 0.0},
+           "logic_fraction": {"memory_fraction": 1.0, "analog_fraction": 0.0},
+           "memory_fraction": {"logic_fraction": 1.0, "analog_fraction": 0.0},
+           "analog_fraction": {"logic_fraction": 1.0, "memory_fraction": 0.0}}
+
+
+def split_with(system, n, tile):
+    """A validated n-tile split of graph_processor, whose root holds the
+    tiles alone, with its k-th tile made tile(spec, k)."""
+    split = split_tiles(system, n)
+    children = tuple(tile(c, k) for k, c in enumerate(split.root.children))
+    return cc.validate_system(
+        dataclasses.replace(split.root, children=children), split.nets,
+        split.library)
+
+
+class TestLeafMemo:
+    """derive derives each distinct leaf once; the copies must be what
+    deriving every leaf in full gives, bit for bit."""
+
+    def test_the_zero_float_fields_are_found(self):
+        assert {"core_area", "black_box_power"} <= set(ZERO_FLOATS)
+
+    @pytest.mark.parametrize("field", ZERO_FLOATS)
+    def test_the_sign_of_a_zero_survives(self, gp_system, field):
+        # 0.0 == -0.0, so a key compared with == alone would copy one
+        # tile's zero into the next
+        system = split_with(gp_system, 16, lambda c, k: dataclasses.replace(
+            c, **{field: -0.0 if k % 2 else 0.0}, **_BESIDE.get(field, {})))
+        memo, full = derive(system), derive_without_memo(system)
+        assert derived_differences(memo.root, full.root) == []
+        assert (cc.report_to_json(cc.evaluate(memo))
+                == cc.report_to_json(cc.evaluate(full)))
+
+    def test_the_first_failing_tile_is_named(self, gp_system):
+        # every tile draws power with no voltage; each fails derive_chip
+        system = split_with(gp_system, 64, lambda c, k: dataclasses.replace(
+            c, core_voltage=0.0))
+        first = system.root.children[0]
+        with pytest.raises(cc.ValidationError) as memo:
+            derive(system)
+        with pytest.raises(cc.ValidationError) as full:
+            derive_without_memo(system)
+        assert memo.value.context == f"chip '{first.name}'"
+        assert str(memo.value) == str(full.value)
+
+    @pytest.mark.parametrize("links", [
+        (("a", "host", "x"), ("b", "host", "y")),
+        (("a", "b", "x"), ("c", "d", "y"))], ids=["external", "crossing"])
+    def test_leaves_apart_only_in_pads_are_derived_apart(self, gp_system,
+                                                         links):
+        # x and y differ only in wires per instance: the first leaf of
+        # each link gets the same cell area and power, not the same pads
+        split = split_tiles(gp_system, 4)
+        mesh = split.library.ios["mesh_link"]
+        lib = dataclasses.replace(split.library, ios={
+            **split.library.ios, "x": dataclasses.replace(mesh, name="x"),
+            "y": dataclasses.replace(mesh, name="y", wires_per_instance=2
+                                     * mesh.wires_per_instance)})
+        tile = split.root.children[0]
+        root = dataclasses.replace(split.root, children=tuple(
+            dataclasses.replace(tile, name=n) for n in "abcd"))
+        nets = tuple(cc.NetSpec(source=a, dest=b, io_type=io, count=4)
+                     for a, b, io in links)
+        system = cc.validate_system(root, nets, lib)
+        ds = derive(system)
+        assert derived_differences(ds.root,
+                                   derive_without_memo(system).root) == []
+        pads = {c.spec.name: c.n_signal_pads for c in ds.root.children}
+        assert pads["a"] != pads[links[1][0]]
+
+    @pytest.mark.parametrize("field, values, figure", [
+        ("core_power", (10.0, 20.0, 30.0), "power_total"),
+        ("core_voltage", (0.8, 1.6), "n_power_pads"),
+        ("black_box_area", (100.0, 101.0), "area"),
+        ("test_self", ("tile_scan", "package_scan"), "n_test_ios")])
+    def test_leaves_apart_in_one_field_are_derived_apart(
+            self, gp_system, field, values, figure):
+        system = split_with(gp_system, 16, lambda c, k: dataclasses.replace(
+            c, **{field: values[k % len(values)]}))
+        ds = derive(system)
+        assert derived_differences(ds.root,
+                                   derive_without_memo(system).root) == []
+        assert len({getattr(c, figure) for c in ds.root.children}) > 1
+
+    def test_leaves_under_other_assembly_are_derived_apart(self, gp_system):
+        # equal leaves whose parents bond them at different pitches
+        lib = gp_system.library
+        asm = lib.assembly_processes["hybrid_25d"]
+        lib = dataclasses.replace(lib, assembly_processes={
+            "hybrid_25d": asm, "coarse": dataclasses.replace(
+                asm, name="coarse", bonding_pitch=2 * asm.bonding_pitch)})
+        root = gp_system.root
+        leaf = dataclasses.replace(root.children[0], core_area=50.0,
+                                   core_power=10.0)
+        root = dataclasses.replace(root, children=tuple(
+            dataclasses.replace(root, name=f"mid_{a}", assembly_process=a,
+                                children=(dataclasses.replace(
+                                    leaf, name=f"leaf_{a}"),))
+            for a in ("hybrid_25d", "coarse")))
+        system = cc.validate_system(root, (), lib)
+        ds = derive(system)
+        assert derived_differences(ds.root,
+                                   derive_without_memo(system).root) == []
+        a, b = (mid.children[0] for mid in ds.root.children)
+        assert a.n_power_pads != b.n_power_pads
+
+
+class TestDerivedChipRecord:
+    def test_keyword_construction(self):
+        leaf = TestStackArea().leaf(4.0)
+        assert (leaf.area, leaf.dim_x, leaf.spec.name) == (4.0, 2.0,
+                                                           "leaf4.0")
+
+    def test_has_no_instance_dict(self, gp_system):
+        root = derive(split_tiles(gp_system, 4)).root
+        assert not hasattr(root, "__dict__")
+        assert not hasattr(root.children[0], "__dict__")
+
+    def test_walk_is_pre_order(self, gp_system):
+        system = split_tiles(gp_system, 16)
+        assert ([c.spec.name for c in derive(system).root.walk()]
+                == [c.name for c in system.root.walk()])
+
+    def test_no_module_assigns_a_derived_chip_attribute(self):
+        # DerivedChip is not frozen (leaves copy each other's figures
+        # cheaply), so it is kept immutable by never assigning to one
+        names = {f.name for f in dataclasses.fields(cc.DerivedChip)}
+        src = Path(cc.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and not isinstance(node.ctx, ast.Load)
+                        and node.attr in names):
+                    found.append(f"{path.name}:{node.lineno}")
+                elif (isinstance(node, ast.Call)
+                      and ast.unparse(node.func).endswith(
+                          ("setattr", "__setattr__", "__delattr__"))):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
