@@ -255,33 +255,18 @@ def _grow(side: float, target: float, pitch: float, context: str) -> float:
     return side + int(math.ceil(steps - _EPS)) * pitch
 
 
-@dataclass(frozen=True)
-class PadPlan:
-    side: float
-    n_signal: int
-    n_power: int
-    n_test: int
-    grown: bool
-
-    @property
-    def total(self) -> int:
-        return self.n_signal + self.n_power + self.n_test
-
-
-def place_pads(side0: float, signal_by_type: dict[str, int],
-               n_power: int, n_test: int, asm: AssemblyProcessDef,
-               library: Library, context: str,
-               allow_growth: bool = True) -> PadPlan:
-    """Fit signal pads in perimeter bands by reach, then power and test
-    pads anywhere, growing the die as a square when a stage cannot fit.
+def place_pads(side0: float, signal_by_type: dict[str, int], n_pads: int,
+               asm: AssemblyProcessDef, library: Library, context: str,
+               allow_growth: bool = True) -> tuple[float, bool]:
+    """(die side, whether it grew): fit signal pads in perimeter bands by
+    reach, then all n_pads (signal, power and test) anywhere, growing the
+    die as a square when a stage cannot fit.
 
     Each IO type gets a band (reach - die_separation) / 2 deep; the types
     place shortest reach first, so earlier bands nest inside later ones
     and the running total must fit each type's own band.
     """
     pitch = asm.bonding_pitch
-    n_signal = sum(signal_by_type.values())
-    total = _finite(n_signal + n_power + n_test, "pad count", context)
     side = side0
     grown = False
     order = sorted((name for name, n in signal_by_type.items() if n > 0),
@@ -305,12 +290,11 @@ def place_pads(side0: float, signal_by_type: dict[str, int],
             # _grow leaves the band short by rounding at most
             if _band_area(side, width) + _EPS < need:
                 side += pitch
-    need = total * pitch * pitch
+    need = n_pads * pitch * pitch
     if side * side + _EPS < need and allow_growth:
         side = _grow(side, math.sqrt(need), pitch, context)
         grown = True
-    return PadPlan(side=side, n_signal=n_signal, n_power=n_power,
-                   n_test=n_test, grown=grown)
+    return side, grown
 
 
 def _merge(*tallies: dict[str, int]) -> dict[str, int]:
@@ -388,18 +372,19 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
     external = tally.external_pads[chip.name]
     signal_by_type = _merge(own_cross, external, *(
         tally.crossing_pads[c.spec.name] for c in children))
+    n_signal = sum(signal_by_type.values())
     n_power = power_pad_count(p_total, chip.core_voltage, interface_asm, ctx)
     n_test = test_io_count(library.test_processes[chip.test_self])
+    n_pads = _finite(n_signal + n_power + n_test, "pad count", ctx)
 
     base = max(a_core + a_io, a_stack)
     side0 = math.sqrt(base) if base > 0.0 else 0.0
-    plan = place_pads(side0, signal_by_type, n_power, n_test, interface_asm,
-                      library, ctx,
-                      allow_growth=chip.black_box_area is None)
+    side, grown = place_pads(side0, signal_by_type, n_pads, interface_asm,
+                             library, ctx,
+                             allow_growth=chip.black_box_area is None)
 
     pitch = interface_asm.bonding_pitch
-    a_pads = (plan.side * plan.side if plan.grown
-              else plan.total * pitch * pitch)
+    a_pads = side * side if grown else n_pads * pitch * pitch
     if chip.black_box_area is not None:
         area = chip.black_box_area
     else:
@@ -407,8 +392,8 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
     if area <= 0.0:
         raise ValidationError(
             "chip resolves to zero area (no core, stack, or pads)", ctx)
-    side = plan.side if (plan.grown and chip.black_box_area is None) \
-        else math.sqrt(area)
+    if not grown:
+        side = math.sqrt(area)
 
     for c in children:
         if c.area > area * (1.0 + 1e-9):
@@ -427,9 +412,9 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
         area_core=a_core, area_io=a_io, area_stack=a_stack,
         area_pads=a_pads, area=area, dim_x=side, dim_y=side,
         power_io=p_io, power_total=p_total,
-        n_signal_pads=plan.n_signal, n_power_pads=n_power, n_test_ios=n_test,
+        n_signal_pads=n_signal, n_power_pads=n_power, n_test_ios=n_test,
         n_bonded_pins=own_pads_below + n_power + n_test,
-        grown_for_pads=plan.grown,
+        grown_for_pads=grown,
         fit=reticle_fit(area, wp.reticle_x, wp.reticle_y))
     if key is not None:
         memo[key] = derived

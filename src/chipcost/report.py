@@ -78,12 +78,19 @@ def format_value(value: float) -> str:
     return format(value, ".9g")
 
 
-def report_to_csv(report: CostReport) -> str:
+def csv_text(kind: str, header: list[str], rows) -> str:
+    """A chipcost-KIND CSV: the schema comment line, the header, then the
+    rows, each an iterable of cells the caller has formatted."""
     buf = io.StringIO()
-    buf.write(f"# schema: chipcost-report-{SCHEMA_VERSION}\n")
+    buf.write(f"# schema: chipcost-{kind}-{SCHEMA_VERSION}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node", "category", "cost_usd"])
-    for path, category, value in breakdown_rows(report):
-        writer.writerow([path, category, format_value(value)])
-    writer.writerow(["TOTAL", "total", format_value(report.cost_total)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def report_to_csv(report: CostReport) -> str:
+    rows = [[path, category, format_value(value)]
+            for path, category, value in breakdown_rows(report)]
+    rows.append(["TOTAL", "total", format_value(report.cost_total)])
+    return csv_text("report", ["node", "category", "cost_usd"], rows)

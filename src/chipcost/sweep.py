@@ -48,9 +48,7 @@ the original die boundary constant at any split.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import itertools
 import math
 import os
@@ -64,7 +62,7 @@ from .errors import ConfigError, ValidationError
 from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
                     ValidatedSystem, check_fields, derive_fields,
                     field_kinds, validate_library, validate_system)
-from .report import SCHEMA_VERSION, format_value
+from .report import csv_text, format_value
 from .xmlio import (_Attrs, _parse_fields, _parse_xml, parse_number,
                     to_integer)
 
@@ -462,7 +460,8 @@ def _walk(base: ValidatedSystem, plan: SweepPlan, order: list[int] | range,
     # the earliest stage a point re-runs once it re-applies axes[k:]
     floor = [min(a.stage for a in axes[k:]) for k in range(len(axes))]
     # points in a row that share one derived tree: a memo of its node
-    # costs, filled at the second, pays only from the third
+    # costs is filled at the first and pays from the second, but for two
+    # points filling it costs more than the second saves
     share = math.prod(len(a.points) for a in itertools.takewhile(
         lambda a: a.stage == COST, reversed(axes)))
     # prefix[k]: (library, root, nets, cells, row position) once the
@@ -493,12 +492,11 @@ def _walk(base: ValidatedSystem, plan: SweepPlan, order: list[int] | range,
             system = ValidatedSystem(root=root, nets=nets,
                                      library=validate_library(lib, entries))
         if stage <= DERIVE:
-            # drop the old tree first: two large ones are never held
-            tree = None
+            # drop the old tree and its memo first: two large ones are
+            # never held
+            tree = memo = None
             tree = derive(system)
-            memo = None
-        elif memo is None and share >= 3:
-            memo = {}
+            memo = {} if share >= 3 else None
         last = index
         rows[pos] = _row(
             map(cells.__getitem__, perm),
@@ -516,10 +514,5 @@ def _row(cells, report) -> tuple:
 
 
 def sweep_to_csv(plan: SweepPlan, rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    buf.write(f"# schema: chipcost-sweep-{SCHEMA_VERSION}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(sweep_columns(plan))
-    for row in rows:
-        writer.writerow([format_value(v) for v in row])
-    return buf.getvalue()
+    return csv_text("sweep", sweep_columns(plan),
+                    (map(format_value, row) for row in rows))

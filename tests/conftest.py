@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -26,6 +27,21 @@ def split_tiles(system, n):
     lib, root, nets = apply_split(system.library, system.root, system.nets,
                                   axis, n)
     return cc.validate_system(root, nets, lib)
+
+
+def zero_area_system(gp_system):
+    """graph_processor with a tile that has no core, no power, no nets
+    and no scan IOs: nothing gives it area."""
+    lib = gp_system.library
+    no_scan = dataclasses.replace(lib.test_processes["tile_scan"],
+                                  name="no_scan", scan_chains=0,
+                                  ios_per_scan_chain=0, test_io_offset=0)
+    lib = dataclasses.replace(lib, test_processes={
+        **lib.test_processes, "no_scan": no_scan})
+    tile = dataclasses.replace(gp_system.root.children[0], core_area=0.0,
+                               core_power=0.0, test_self="no_scan")
+    return cc.validate_system(
+        dataclasses.replace(gp_system.root, children=(tile,)), (), lib)
 
 
 @pytest.fixture(scope="session")

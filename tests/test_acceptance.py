@@ -351,6 +351,34 @@ def test_library_axes_inside_a_split_recheck_and_recost_little(
     assert rows == naive_sweep(gp_system, plan)
 
 
+def test_a_shared_designs_memo_pays_from_its_second_point(monkeypatch):
+    lib = cc.parse_library(config_path("coverage_study", "library.xml"))
+    system = cc.parse_system(config_path("coverage_study", "system.xml"),
+                             config_path("coverage_study", "netlist.xml"),
+                             lib)
+    plan = cc.parse_sweep(config_path("coverage_study", "coverage_sweep.xml"))
+    costed = []
+    per_point = []
+
+    def cost(chip, library):
+        costed.append(chip.spec.name)
+        return die_cost(chip, library)
+
+    def evaluate(*args, **kwargs):
+        before = len(costed)
+        report = cc.evaluate(*args, **kwargs)
+        per_point.append(len(costed) - before)
+        return report
+
+    monkeypatch.setattr("chipcost.engine.die_cost", cost)
+    monkeypatch.setattr("chipcost.sweep.evaluate", evaluate)
+    rows = cc.run_sweep(system, plan)
+    assert len(rows) == 5
+    # the first point costs all 17 dies; from the second, the substrate
+    # die, which does not read tile_scan, keeps its figures
+    assert per_point == [17, 16, 16, 16, 16]
+
+
 def test_a_split_declared_inside_a_derive_axis_is_built_once_per_count(
         gp_system, derive_calls, monkeypatch):
     # visited stage-major, the split is outermost: in derive-major order

@@ -12,7 +12,7 @@ from chipcost.derive import (derive, net_instances, place_pads,
 from chipcost.derive import test_io_count as scan_io_count
 from chipcost.model import _field_checks
 from chipcost.wafer import reticle_fit
-from conftest import split_tiles
+from conftest import split_tiles, zero_area_system
 from gensys import make_system
 from oracles import derive_without_memo, derived_differences, naive_net_tally
 
@@ -233,10 +233,10 @@ class TestPads:
 
     def test_huge_pad_count_grows_without_creeping(self):
         # with a cancelling band the growth loop crept one pitch at a time
-        plan = place_pads(1.0, {"io4": 10 ** 14}, 0, 0, ASM, tiny_library(),
-                          "x")
-        assert plan.grown
-        assert _band_area(plan.side, 0.95) >= 10 ** 14 * 0.01 * (1 - 1e-12)
+        side, grown = place_pads(1.0, {"io4": 10 ** 14}, 10 ** 14, ASM,
+                                 tiny_library(), "x")
+        assert grown
+        assert _band_area(side, 0.95) >= 10 ** 14 * 0.01 * (1 - 1e-12)
 
     def test_test_io_count(self):
         tp = cc.TestProcessDef(name="t", cost_per_second=0.1, patterns=1,
@@ -247,31 +247,31 @@ class TestPads:
 
     def test_no_growth_when_everything_fits(self):
         lib = tiny_library()
-        plan = place_pads(10.0, {"io4": 100}, 50, 10, ASM, lib, "x")
-        assert not plan.grown and plan.side == 10.0
-        assert plan.total == 160
+        # 100 signal, 50 power and 10 test pads
+        assert place_pads(10.0, {"io4": 100}, 160, ASM, lib, "x") \
+            == (10.0, False)
 
     def test_growth_is_pitch_quantized(self):
         lib = tiny_library()
-        plan = place_pads(1.0, {"io4": 500}, 0, 0, ASM, lib, "x")
-        assert plan.grown
+        side, grown = place_pads(1.0, {"io4": 500}, 500, ASM, lib, "x")
+        assert grown
         # side grew in whole 0.1 mm steps from 1.0
-        steps = (plan.side - 1.0) / ASM.bonding_pitch
+        steps = (side - 1.0) / ASM.bonding_pitch
         assert steps == pytest.approx(round(steps))
-        assert _band_area(plan.side, 0.95) >= 500 * 0.1 * 0.1 - 1e-9
+        assert _band_area(side, 0.95) >= 500 * 0.1 * 0.1 - 1e-9
 
     def test_interior_growth_for_power_pads(self):
         lib = tiny_library()
-        plan = place_pads(1.0, {}, 400, 0, ASM, lib, "x")
+        side, grown = place_pads(1.0, {}, 400, ASM, lib, "x")
         # 400 pads at 0.01 mm2 each need 4 mm2 > 1 mm2
-        assert plan.grown and plan.side ** 2 >= 4.0 - 1e-9
+        assert grown and side ** 2 >= 4.0 - 1e-9
 
     def test_short_reach_is_a_configuration_error(self):
         import dataclasses
         tight = dataclasses.replace(IO4, reach=0.1)
         lib = tiny_library(io4=tight)
         with pytest.raises(cc.ValidationError, match="reach"):
-            place_pads(10.0, {"io4": 1}, 0, 0, ASM, lib, "x")
+            place_pads(10.0, {"io4": 1}, 1, ASM, lib, "x")
 
     def test_shortest_reach_places_first(self):
         import dataclasses
@@ -280,9 +280,10 @@ class TestPads:
         lib = tiny_library(near=near, far=far)
         # near band is 0.15 deep; 600 near pads force growth even though
         # the far band alone could hold everything
-        plan = place_pads(5.0, {"near": 600, "far": 10}, 0, 0, ASM, lib, "x")
-        assert plan.grown
-        assert _band_area(plan.side, 0.15) >= 600 * 0.01 - 1e-9
+        side, grown = place_pads(5.0, {"near": 600, "far": 10}, 610, ASM,
+                                 lib, "x")
+        assert grown
+        assert _band_area(side, 0.15) >= 600 * 0.01 - 1e-9
 
 
 class TestOverflowIsAConfigurationError:
@@ -428,6 +429,30 @@ class TestDeriveTree:
         sys_ = cc.validate_system(small_top, (), handcheck_library)
         with pytest.raises(cc.ValidationError, match="exceeds parent"):
             derive(sys_)
+
+    def test_a_chip_with_nothing_to_hold_is_refused(self, gp_system):
+        with pytest.raises(cc.ValidationError, match="chip 'tile': chip "
+                           "resolves to zero area"):
+            derive(zero_area_system(gp_system))
+
+    def test_a_black_box_keeps_its_area_when_its_pads_overflow(
+            self, gp_system):
+        # 40 nets of 50 instances x 8 wires: 16,000 signal pads need 160
+        # mm2 at a 0.1 mm pitch, and no band of a 1 mm2 box holds them
+        boxed = dataclasses.replace(gp_system.root.children[0],
+                                    black_box_area=1.0, black_box_power=0.1)
+        nets = tuple(cc.NetSpec(source="tile", dest=f"edge{k}",
+                                io_type="mesh_link", bandwidth=1600.0)
+                     for k in range(40))
+        system = cc.validate_system(
+            dataclasses.replace(gp_system.root, children=(boxed,)), nets,
+            gp_system.library)
+        tile = derive(system).root.children[0]
+        assert tile.area == 1.0 and tile.dim_x == 1.0
+        assert not tile.grown_for_pads
+        assert tile.n_signal_pads == 16000
+        # (16,000 signal + 2 power + 20 test pads) x 0.01 mm2, not side^2
+        assert tile.area_pads == pytest.approx(160.22, rel=1e-12)
 
     def test_diagonal_never_appears(self, handcheck_system):
         ds = derive(handcheck_system)

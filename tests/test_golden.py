@@ -4,21 +4,46 @@ A refactor must leave these unchanged. A deliberate change of numbers
 regenerates them with `tests/golden/regenerate.py`, whose `--check` runs
 the same comparison under any interpreter; the digests hold from Python
 3.10 on because no float total goes through sum() (checked here on the
-running version by swapping in a compensated sum).
+running version by swapping in a compensated sum, and under each other
+python3.10 to python3.14 on PATH that starts).
 """
 import builtins
 import dataclasses
 import importlib
 import math
+import os
+import shutil
+import subprocess
+import sys
+
+import pytest
 
 import chipcost as cc
 from gensys import make_system
-from golden.regenerate import compute, differing, load
+from golden.regenerate import SRC, compute, differing, load
+
+REGENERATE = os.path.join(os.path.dirname(__file__), "golden",
+                          "regenerate.py")
+OTHER_PYTHONS = [f"python3.{minor}" for minor in range(10, 15)
+                 if minor != sys.version_info.minor]
 
 
 def test_outputs_match_golden_digests():
     moved = differing(compute(), load())
     assert not moved, f"outputs changed: {moved}"
+
+
+@pytest.mark.parametrize("name", OTHER_PYTHONS)
+def test_outputs_match_golden_digests_under_other_pythons(name):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    exe = shutil.which(name)
+    if exe is None or subprocess.run([exe, "-c", ""], env=env,
+                                     capture_output=True,
+                                     timeout=60).returncode != 0:
+        pytest.skip(f"{name} does not start")
+    proc = subprocess.run([exe, REGENERATE, "--check"], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, f"{name}: {proc.stdout}{proc.stderr}"
 
 
 def _compensated_sum(values, start=0):

@@ -4,7 +4,9 @@ Each table lists one element's attributes with their types, ranges and
 defaults; the dataclass behind the element is the record the parser,
 serializer and validator read, so the two must name the same
 attributes, agree on which are required, and give the same defaults and
-the same valid ranges.
+the same valid ranges. The sweep's Execution section lists by hand the
+library fields derive reads and the chip fields that name library
+entries; the model's "derive" and "ref" metadata must say the same.
 """
 import dataclasses
 import os
@@ -12,7 +14,8 @@ import re
 
 import pytest
 
-from chipcost.model import (LIBRARY_KINDS, ChipSpec, NetSpec, field_kinds)
+from chipcost.model import (LIBRARY_KINDS, ChipSpec, NetSpec, derive_fields,
+                            field_kinds, ref_fields)
 
 SCHEMA = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                       "SCHEMA.md")
@@ -56,7 +59,17 @@ def doc_tables() -> dict[type, dict[str, dict[str, str]]]:
     return tables
 
 
+def execution_text() -> str:
+    """The sweep's Execution section, its whitespace runs made single
+    spaces."""
+    with open(SCHEMA, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("### Execution\n", 1)[1].split("\n## ", 1)[0]
+    return " ".join(section.split())
+
+
 TABLES = doc_tables()
+EXECUTION = execution_text()
 # A range in a type cell: a bound such as ">= 0" or an interval "(0, 1]".
 RANGE = re.compile(r"[<>]=? ?-?\d+|[\[(]-?\d+, ?-?\d+[\])]")
 CLASSES = sorted(SECTIONS.values(), key=lambda c: c.__name__)
@@ -123,3 +136,30 @@ def test_every_number_field_declares_a_range(cls):
     unchecked = [f.name for f in dataclasses.fields(cls)
                  if kinds[f.name] in (int, float) and "check" not in f.metadata]
     assert not unchecked
+
+
+def test_derive_stage_lists_the_fields_derive_reads():
+    # "every `<io>` attribute, the `<waferprocess>` geometry (`...`), ..."
+    bullet = re.search(r"- `DERIVE`: (.*?); - `COST`", EXECUTION).group(1)
+    parts = re.split(r"`<(\w+)>`", bullet)
+    doc = {}
+    for before, tag, after in zip(parts[0::2], parts[1::2], parts[2::2]):
+        attrs = model_attributes(SECTIONS[tag])
+        doc[tag] = (set(attrs) - {"name"} if before.endswith("every ")
+                    else set(re.findall(r"`(\w+)`", after)))
+    model = {tag: {a for a, f in model_attributes(cls).items()
+                   if f.name in derive_fields(cls)}
+             for tag, (_, cls, _) in LIBRARY_KINDS.items()}
+    assert doc == {tag: attrs for tag, attrs in model.items() if attrs}
+
+
+def test_cost_stage_lists_the_chip_references():
+    # "... names: the `layers`, ... of every chip, and the ... of a chip
+    # with children"
+    found = re.search(r"a re-applied axis names: (.*?) of every chip, and "
+                      r"(.*?) of a chip with children", EXECUTION)
+    doc = {(name, parent)
+           for parent, text in ((False, found.group(1)),
+                                (True, found.group(2)))
+           for name in re.findall(r"`(\w+)`", text)}
+    assert doc == {(name, parent) for name, _, parent in ref_fields(ChipSpec)}

@@ -15,7 +15,7 @@ from chipcost.errors import ValidationError, XmlError
 from chipcost.sweep import (FieldAxis, SplitAxis, apply_field, apply_split,
                             parse_sweep, run_sweep, sweep_columns,
                             sweep_to_csv)
-from conftest import config_path, data_path
+from conftest import config_path, data_path, zero_area_system
 
 
 def write(path, text):
@@ -356,6 +356,22 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "absent" in err and "cpu" in err
+
+    def test_a_zero_area_chip_exits_2(self, gp_system, tmp_path, capsys):
+        system = zero_area_system(gp_system)
+        code = main([
+            "eval",
+            "--library", write(tmp_path / "library.xml",
+                               cc.serialize_library(system.library)),
+            "--system", write(tmp_path / "system.xml",
+                              cc.serialize_system(system.root)),
+            "--netlist", write(tmp_path / "netlist.xml",
+                               cc.serialize_netlist(system.nets)),
+            "--out", str(tmp_path / "report.json")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: chip 'tile': chip resolves to zero area (no core, "
+            "stack, or pads)"]
 
     def test_infeasible_exits_3_but_writes(self, tmp_path):
         # a defect density big enough to underflow the die yield to zero,
