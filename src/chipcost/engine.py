@@ -11,8 +11,9 @@ own test screened: quality_shipped = quality_self x q_asm, where q_asm
 is the truly good share (bond sound, every child truly good) of the
 assemblies that pass.
 
-Impossible configurations (no dies fit the wafer, yield underflows to
-zero) produce infinite costs tagged per node, never exceptions. A die
+A node is infeasible when its recurring or NRE cost is not finite: a die
+no wafer holds, a tested yield of zero, or a cost past double range. It
+is tagged per node (so is every node above it), never raised. A die
 whose wafer figures cannot be computed at all (too small to pack, or an
 exposure count past float range) never gets here: derive refuses it
 while fitting the die to its exposure field.
@@ -206,7 +207,7 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
     # nothing it reads moved, and their sums, folded left in child order
     children = []
     bonded_area = c_nre_children = c_re_children = 0.0
-    n_pins, y_child_q, bad_child = 0, 1.0, False
+    n_pins, y_child_q = 0, 1.0
     for c in chip.children:
         entry = memo.get(id(c)) if memo is not None else None
         costs = (entry[2] if entry is not None and entry[0].isdisjoint(moved)
@@ -217,7 +218,6 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
         c_nre_children += costs.cost_nre
         c_re_children += costs.cost_re
         y_child_q *= costs.quality_shipped
-        bad_child = bad_child or costs.infeasible
     children = tuple(children)
 
     if last is not None and last[1].isdisjoint(moved):
@@ -238,7 +238,6 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
         c_re_self = ((c_die + c_test_self) / y_tested_self
                      if y_tested_self > 0.0 else INF)
         c_nre_self = nre_cost_self(chip, library)
-    infeasible = not math.isfinite(c_die) or y_tested_self <= 0.0
     c_nre = c_nre_self + c_nre_children
 
     if children:
@@ -250,7 +249,6 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
         y_asm = assembly_yield(asm, n_pins, n_dies, bonded_area)
         y_true_asm = y_asm * y_child_q
         y_tested_asm = tested_yield(tp_asm.fault_coverage, y_true_asm)
-        infeasible = infeasible or y_tested_asm <= 0.0 or bad_child
         upstream = c_asm + c_test_asm + c_re_self + c_re_children
         c_re = upstream / y_tested_asm if y_tested_asm > 0.0 else INF
         q_asm = (quality(y_true_asm, y_tested_asm)
@@ -279,7 +277,7 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
         quality_self=q_self, yield_assembly=y_asm,
         yield_child_quality=y_child_q, yield_tested_assembly=y_tested_asm,
         yield_chip=y_chip, quality_shipped=q_shipped,
-        infeasible=infeasible, children=children)
+        infeasible=not math.isfinite(c_re + c_nre), children=children)
     if memo is not None:
         memo[id(chip)] = (*(last[:2] if last else _entries_read(chip, memo)),
                           costs)

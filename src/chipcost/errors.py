@@ -1,8 +1,9 @@
 """Error types shared across the package.
 
 All configuration problems derive from ConfigError so the CLI can map them
-to a single exit code. Infeasible results (zero yield, zero dies per wafer)
-are not errors; they are reported as tagged infinite costs.
+to a single exit code. Infeasible results (a recurring or NRE cost that is
+not finite: zero dies per wafer, a tested yield of zero, or a cost past
+double range) are not errors; they are reported as tagged infinite costs.
 """
 
 

@@ -63,8 +63,8 @@ from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
                     ValidatedSystem, check_fields, derive_fields,
                     field_kinds, validate_library, validate_system)
 from .report import csv_text, format_value
-from .xmlio import (_Attrs, _parse_fields, _parse_xml, parse_number,
-                    to_integer)
+from .xmlio import (_attr, _parse_fields, _parse_xml, _refuse_unknown,
+                    parse_number, to_integer)
 
 # Most points one sweep may hold, per range axis and over the whole
 # cartesian product; both are checked before any point is built.
@@ -214,19 +214,16 @@ def _parse_range(text: str, context: str = "sweep") -> tuple[float, ...]:
 
 
 def parse_sweep(path: str) -> SweepPlan:
-    root = _parse_xml(path)
-    if root.tag != "sweep":
-        raise ValidationError(f"expected <sweep> root, got <{root.tag}>", path)
-    _Attrs(root, f"{path}: <sweep>").finish()
+    root = _parse_xml(path, "sweep")
+    _refuse_unknown(root, (), f"{path}: <sweep>")
     axes: list[FieldAxis | SplitAxis] = []
     for elem in root:
         if elem.tag == "param":
             ctx = f"{path}: <param {elem.get('target', '?')}>"
-            a = _Attrs(elem, ctx)
-            target = a.text("target", True)
-            values = a.text("values", False)
-            range_ = a.text("range", False)
-            a.finish()
+            target = _attr(elem, "target", str, True, ctx)
+            values = _attr(elem, "values", str, False, ctx)
+            range_ = _attr(elem, "range", str, False, ctx)
+            _refuse_unknown(elem, ("target", "values", "range"), ctx)
             if (values is None) == (range_ is None):
                 raise ValidationError(
                     "<param> needs exactly one of values or range", ctx)
@@ -289,9 +286,6 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
     Refused, in this order: no template, a template with children, an
     unknown io type, a template that is the root."""
     m = math.isqrt(n)
-    if m * m != n:
-        raise ValidationError(f"split count {n} is not a perfect square",
-                              axis.context)
 
     def tile_name(r: int, c: int) -> str:
         return f"{axis.chip}_{r}_{c}"

@@ -53,153 +53,132 @@ def to_integer(value: float, what: str, context: str) -> int:
     return int(value)
 
 
-class _Attrs:
-    """One element's attributes with typed access and typo detection.
+def _integer(text: str, what: str, context: str) -> int:
+    return to_integer(parse_number(text, what, context), what, context)
 
-    Each reader returns None for an absent optional attribute.
-    """
 
-    def __init__(self, elem: ET.Element, context: str):
-        self.attrib = elem.attrib
-        self.context = context
-        self.seen: set[str] = set()
+def _flag(text: str, what: str, context: str) -> bool:
+    low = text.strip().lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ValidationError(f"{what} must be true or false, got '{text}'",
+                          context)
 
-    def text(self, name: str, required: bool):
-        self.seen.add(name)
-        raw = self.attrib.get(name)
-        if raw is None and required:
-            raise ValidationError(f"missing attribute '{name}'", self.context)
-        return raw
 
-    def number(self, name: str, required: bool):
-        raw = self.text(name, required)
-        if raw is None:
-            return None
-        return parse_number(raw, f"attribute '{name}'", self.context)
+def _names(text: str, what: str, context: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
-    def integer(self, name: str, required: bool):
-        value = self.number(name, required)
-        if value is None:
-            return None
-        return to_integer(value, f"attribute '{name}'", self.context)
 
-    def flag(self, name: str, required: bool):
-        raw = self.text(name, required)
-        if raw is None:
-            return None
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
+# An attribute's text as its field kind: reader(text, what, context).
+_READERS = {str: lambda text, what, context: text, float: parse_number,
+            int: _integer, bool: _flag, tuple: _names}
+
+
+def _attr(elem: ET.Element, name: str, kind: type, required: bool,
+          context: str):
+    """elem's attribute `name` read as `kind`; None for an absent
+    optional one."""
+    raw = elem.get(name)
+    if raw is None:
+        if required:
+            raise ValidationError(f"missing attribute '{name}'", context)
+        return None
+    return _READERS[kind](raw, f"attribute '{name}'", context)
+
+
+def _refuse_unknown(elem: ET.Element, allowed: frozenset | tuple,
+                    context: str):
+    unknown = elem.attrib.keys() - allowed
+    if unknown:
         raise ValidationError(
-            f"attribute '{name}' must be true or false, got '{raw}'",
-            self.context)
-
-    def names(self, name: str, required: bool):
-        raw = self.text(name, required)
-        if raw is None:
-            return None
-        return tuple(s.strip() for s in raw.split(",") if s.strip())
-
-    def density(self, name: str, required: bool):
-        """A defect density normalized to /mm2 via its unit attribute."""
-        value = self.number(name, required)
-        unit = self.text(f"{name}_unit", False)
-        if unit is None:
-            unit = "per_mm2"
-        if unit not in _DENSITY_UNITS:
-            raise ValidationError(
-                f"attribute '{name}_unit' must be one of "
-                f"{sorted(_DENSITY_UNITS)}, got '{unit}'", self.context)
-        return None if value is None else value * _DENSITY_UNITS[unit]
-
-    def finish(self):
-        unknown = set(self.attrib) - self.seen
-        if unknown:
-            raise ValidationError(
-                f"unknown attribute(s): {', '.join(sorted(unknown))}",
-                self.context)
-
-
-_READERS = {str: _Attrs.text, float: _Attrs.number, int: _Attrs.integer,
-            bool: _Attrs.flag, tuple: _Attrs.names}
+            f"unknown attribute(s): {', '.join(sorted(unknown))}", context)
 
 
 @functools.cache
-def _attributes(cls) -> tuple:
-    """(field, XML attribute, reader, required) for each attribute field
-    of a model class, in declaration order; "attr" metadata of None marks
-    a field no attribute sets."""
+def _attributes(cls) -> tuple[tuple, frozenset[str]]:
+    """(field, XML attribute, kind, required, unit attribute or None) for
+    each attribute field of a model class, in declaration order, and the
+    attribute names its element may carry. "attr" metadata of None marks
+    a field no attribute sets; a "unit" field also takes <attr>_unit."""
     out = []
     for f in dataclasses.fields(cls):
         kind = field_kinds(cls)[f.name]
         attr = f.metadata.get("attr", f.name)
         if kind is None or attr is None:
             continue
-        reader = _Attrs.density if f.metadata.get("unit") else _READERS[kind]
         required = (f.default is dataclasses.MISSING
                     and f.default_factory is dataclasses.MISSING)
-        out.append((f, attr, reader, required))
-    return tuple(out)
+        unit = f"{attr}_unit" if f.metadata.get("unit") else None
+        out.append((f, attr, kind, required, unit))
+    allowed = frozenset(name for _, attr, _, _, unit in out
+                        for name in (attr, unit) if name)
+    return tuple(out), allowed
 
 
-def _parse_xml(path: str) -> ET.Element:
+def _parse_xml(path: str, tag: str) -> ET.Element:
+    """The root element of the XML file at path, which must be <tag>."""
     try:
-        return ET.parse(path).getroot()
+        root = ET.parse(path).getroot()
     except ET.ParseError as exc:
         line, col = exc.position
         raise XmlError(f"line {line}, column {col}: {exc.msg}", path)
     except OSError as exc:
         raise XmlError(str(exc), path)
+    if root.tag != tag:
+        raise ValidationError(f"expected <{tag}> root, got <{root.tag}>",
+                              path)
+    return root
 
 
 def _parse_fields(cls, elem: ET.Element, context: str, /, **given):
     """An instance of cls from elem's attributes; an absent optional
-    attribute takes the field's default. `given` supplies the nested
-    records, and any field the caller reads itself."""
-    a = _Attrs(elem, context)
-    for f, attr, read, required in _attributes(cls):
-        value = read(a, attr, required)
+    attribute takes the field's default, and a defect density is
+    normalized to /mm2 by its unit. `given` supplies the nested records,
+    and any field the caller reads itself."""
+    fields, allowed = _attributes(cls)
+    for f, attr, kind, required, unit in fields:
+        value = _attr(elem, attr, kind, required, context)
+        if unit is not None:
+            scale = elem.get(unit, "per_mm2")
+            if scale not in _DENSITY_UNITS:
+                raise ValidationError(
+                    f"attribute '{unit}' must be one of "
+                    f"{sorted(_DENSITY_UNITS)}, got '{scale}'", context)
+            if value is not None:
+                value *= _DENSITY_UNITS[scale]
         if value is not None:
             given.setdefault(f.name, value)
-    a.finish()
+    _refuse_unknown(elem, allowed, context)
     return cls(**given)
-
-
-def parse_library_file(path: str, into: dict[str, dict]) -> None:
-    root = _parse_xml(path)
-    if root.tag != "library":
-        raise ValidationError(f"expected <library> root, got <{root.tag}>",
-                              path)
-    for elem in root:
-        if elem.tag not in LIBRARY_KINDS:
-            raise ValidationError(f"unknown library element <{elem.tag}>",
-                                  path)
-        table_name, cls, _ = LIBRARY_KINDS[elem.tag]
-        context = f"{path}: <{elem.tag} name='{elem.get('name', '?')}'>"
-        entry = _parse_fields(cls, elem, context)
-        table = into[table_name]
-        if entry.name in table:
-            raise DuplicateNameError(
-                f"{elem.tag} '{entry.name}' is defined more than once", path)
-        table[entry.name] = entry
 
 
 def parse_library(path: str) -> Library:
     """A single library file, or a directory of them merged in name order."""
     tables: dict[str, dict] = {attr: {} for attr, _, _ in
                                LIBRARY_KINDS.values()}
+    paths = [path]
     if os.path.isdir(path):
-        names = sorted(n for n in os.listdir(path) if n.endswith(".xml"))
-        if not names:
+        paths = [os.path.join(path, n) for n in sorted(os.listdir(path))
+                 if n.endswith(".xml")]
+        if not paths:
             raise ValidationError("no .xml files found", path)
-        for name in names:
-            parse_library_file(os.path.join(path, name), tables)
-    elif os.path.exists(path):
-        parse_library_file(path, tables)
-    else:
-        raise XmlError("no such file or directory", path)
+    for file in paths:
+        root = _parse_xml(file, "library")
+        for elem in root:
+            if elem.tag not in LIBRARY_KINDS:
+                raise ValidationError(
+                    f"unknown library element <{elem.tag}>", file)
+            table_name, cls, _ = LIBRARY_KINDS[elem.tag]
+            context = f"{file}: <{elem.tag} name='{elem.get('name', '?')}'>"
+            entry = _parse_fields(cls, elem, context)
+            table = tables[table_name]
+            if entry.name in table:
+                raise DuplicateNameError(
+                    f"{elem.tag} '{entry.name}' is defined more than once",
+                    file)
+            table[entry.name] = entry
     return validate_library(Library(**tables))
 
 
@@ -212,10 +191,7 @@ def _parse_chip(elem: ET.Element, path: str) -> ChipSpec:
 
 
 def parse_netlist(path: str) -> tuple[NetSpec, ...]:
-    root = _parse_xml(path)
-    if root.tag != "netlist":
-        raise ValidationError(f"expected <netlist> root, got <{root.tag}>",
-                              path)
+    root = _parse_xml(path, "netlist")
     nets = []
     for i, elem in enumerate(root):
         if elem.tag != "net":
@@ -227,7 +203,7 @@ def parse_netlist(path: str) -> tuple[NetSpec, ...]:
 
 def parse_system(system_path: str, netlist_path: str | None,
                  library: Library) -> ValidatedSystem:
-    root_elem = _parse_xml(system_path)
+    root_elem = _parse_xml(system_path, "chip")
     root = _parse_chip(root_elem, system_path)
     nets = parse_netlist(netlist_path) if netlist_path else ()
     return validate_system(root, nets, library)
@@ -249,7 +225,7 @@ def _elem(tag: str, obj) -> ET.Element:
     """obj's attribute fields in declaration order, then its nested
     records as child elements of the same tag."""
     e = ET.Element(tag)
-    for f, attr, _, _ in _attributes(type(obj)):
+    for f, attr, *_ in _attributes(type(obj))[0]:
         value = getattr(obj, f.name)
         if value is None or (f.metadata.get("sparse")
                              and value == f.default):

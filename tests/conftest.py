@@ -10,6 +10,13 @@ HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
 CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
 
+# (library tag, entry, attribute, the node named infeasible) of each
+# graph_processor library attribute whose cost passes double range at
+# 1e308: the test cost, the assembly cost and the NRE
+OVERFLOWS = (("test", "tile_scan", "clock_period", "substrate/tile"),
+             ("assembly", "hybrid_25d", "pick_place_rate", "substrate"),
+             ("waferprocess", "hvm_300mm", "nre_fe_logic", "substrate/tile"))
+
 
 def data_path(*parts: str) -> str:
     return os.path.join(DATA, *parts)

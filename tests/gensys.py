@@ -181,6 +181,7 @@ def check_invariants(system: cc.ValidatedSystem) -> None:
                 <= 1e-12 * max(1.0, upstream))
         assert n.cost_re >= n.cost_re_self - 1e-12
 
+    assert rep.infeasible == (not math.isfinite(rep.cost_total))
     if not rep.infeasible:
         total = sum(rep.breakdown.values())
         assert abs(total - rep.cost_total) <= REL * abs(rep.cost_total)

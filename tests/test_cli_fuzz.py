@@ -1,9 +1,13 @@
 """CLI fuzz: one attribute of a shipped config set to a hostile value.
 
 Whatever the value, the CLI must finish with exit code 0, 2 or 3 and
-print no traceback. Each case runs the CLI in its own process under a
+print no traceback, and a clean exit (0) must report a finite cost. Each
+case runs the CLI in its own process under a
 generous timeout, which is what catches a hang.
 """
+import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -40,9 +44,10 @@ ATTRIBUTES = _attributes()
 
 
 def run_mutated(study: str, fname: str, index: int, attr: str,
-                value: str) -> subprocess.CompletedProcess:
+                value: str) -> tuple[subprocess.CompletedProcess, str | None]:
     """`chipcost eval` on the study, or `chipcost sweep` when the mutated
-    file is a sweep, with one attribute set to value."""
+    file is a sweep, with one attribute set to value: the process, and
+    the report it wrote (None if it wrote none)."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in INPUTS + STUDIES[study]:
             tree = ET.parse(os.path.join(CONFIGS, study, name))
@@ -59,9 +64,24 @@ def run_mutated(study: str, fname: str, index: int, attr: str,
             argv = ["sweep"] + argv + ["--sweep", os.path.join(tmp, fname)]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-        return subprocess.run([sys.executable, "-m", "chipcost.cli", *argv],
+        proc = subprocess.run([sys.executable, "-m", "chipcost.cli", *argv],
                               capture_output=True, text=True, env=env,
                               timeout=TIMEOUT_S)
+        out = os.path.join(tmp, "out")
+        if not os.path.exists(out):
+            return proc, None
+        with open(out, encoding="utf-8") as fh:
+            return proc, fh.read()
+
+
+def cost_totals(fname: str, report: str) -> list[float]:
+    """cost_total of an eval JSON report (inf for null), or of each row
+    of a sweep CSV."""
+    if fname in INPUTS:
+        total = json.loads(report)["cost_total"]
+        return [math.inf if total is None else total]
+    lines = [ln for ln in report.splitlines() if not ln.startswith("#")]
+    return [float(row["cost_total"]) for row in csv.DictReader(lines)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -75,7 +95,18 @@ def run_mutated(study: str, fname: str, index: int, attr: str,
 # the pad band cancelled, and die growth crept one pitch at a time
 @example(target=("graph_processor", "netlist.xml", 1, "bandwidth"),
          value="1e20")
+# the test cost, the assembly cost and the NRE overflowed to inf, yet
+# the node was not tagged infeasible and the CLI exited 0
+@example(target=("graph_processor", "library.xml", 8, "clock_period"),
+         value="1e308")
+@example(target=("graph_processor", "library.xml", 7, "pick_place_rate"),
+         value="1e308")
+@example(target=("graph_processor", "library.xml", 5, "nre_fe_logic"),
+         value="1e308")
 def test_one_hostile_attribute_exits_cleanly(target, value):
-    proc = run_mutated(*target, value)
+    proc, report = run_mutated(*target, value)
     assert proc.returncode in (0, 2, 3), (target, value, proc.stderr)
     assert "Traceback" not in proc.stderr, (target, value, proc.stderr)
+    if proc.returncode == 0:
+        totals = cost_totals(target[1], report)
+        assert all(map(math.isfinite, totals)), (target, value, totals)

@@ -12,7 +12,8 @@ from chipcost.engine import die_cost as raw_die_cost
 from chipcost.engine import tested_yield as yield_after_test
 from chipcost.engine import test_cost as insertion_cost
 from chipcost.wafer import dies_per_wafer, reticle_fit
-from conftest import config_path
+from chipcost.sweep import FieldAxis, apply_field
+from conftest import OVERFLOWS, config_path
 from gensys import make_system
 from oracles import simulate_rollup
 
@@ -308,6 +309,17 @@ class TestEvaluate:
         assert math.isinf(rep.cost_total)
         assert rep.infeasible_paths == ("p/c",)
         assert math.isfinite(rep.cost_nre)
+
+    @pytest.mark.parametrize("kind, name, attr, path", OVERFLOWS)
+    def test_a_cost_past_double_range_is_infeasible(self, gp_system, kind,
+                                                    name, attr, path):
+        axis = FieldAxis(f"library.{kind}[{name}].{attr}", (1e308,))
+        lib, root, nets = apply_field(gp_system.library, gp_system.root,
+                                      gp_system.nets, axis, 1e308)
+        rep = evaluate(derive(cc.validate_system(root, nets, lib)))
+        assert math.isinf(rep.cost_total)
+        assert rep.infeasible
+        assert rep.infeasible_paths == (path,)
 
     def test_nre_ignores_defects(self, handcheck_library, handcheck_system):
         dirty = dataclasses.replace(

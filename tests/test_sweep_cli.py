@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from chipcost.errors import ValidationError, XmlError
 from chipcost.sweep import (FieldAxis, SplitAxis, apply_field, apply_split,
                             parse_sweep, run_sweep, sweep_columns,
                             sweep_to_csv)
-from conftest import config_path, data_path, zero_area_system
+from conftest import OVERFLOWS, config_path, data_path, zero_area_system
 
 
 def write(path, text):
@@ -415,6 +416,30 @@ class TestCli:
         assert math.isfinite(float(feasible["cost_scrap"]))
         assert infeasible["infeasible"] == "1"
         assert infeasible["cost_total"] == infeasible["cost_scrap"] == "inf"
+
+    @pytest.mark.parametrize("kind, name, attr, path", OVERFLOWS)
+    def test_a_cost_past_double_range_exits_3(self, tmp_path, kind, name,
+                                              attr, path):
+        gp = Path(config_path("graph_processor"))
+        tree = ET.parse(gp / "library.xml")
+        tree.getroot().find(f"{kind}[@name='{name}']").set(attr, "1e308")
+        tree.write(tmp_path / "library.xml")
+        args = ["--library", str(tmp_path / "library.xml"),
+                "--system", str(gp / "system.xml"),
+                "--netlist", str(gp / "netlist.xml")]
+        out = tmp_path / "report.json"
+        assert main(["eval", *args, "--out", str(out)]) == 3
+        import json
+        doc = json.loads(out.read_text())
+        assert doc["cost_total"] is None
+        assert doc["infeasible"] is True
+        assert doc["infeasible_paths"] == [path]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *args, "--sweep", str(gp / "chiplet_sweep.xml"),
+                     "--out", str(out)]) == 3
+        rows = rows_of(out.read_text())
+        assert [row["infeasible"] for row in rows] == ["1"] * len(rows)
+        assert {row["cost_total"] for row in rows} == {"inf"}
 
     def test_sweep_bad_target_exits_2(self, tmp_path, capsys):
         sweep = sweep_xml(tmp_path, '<param target="library.layer[nope].'

@@ -4,6 +4,7 @@ import pytest
 
 import chipcost as cc
 from gensys import make_system
+from chipcost.sweep import parse_sweep
 from chipcost.xmlio import (parse_library, parse_netlist, parse_system,
                             serialize_library, serialize_netlist,
                             serialize_system)
@@ -251,3 +252,100 @@ class TestRoundTrip:
         assert lib == system.library
         assert again.root == root
         assert again.nets == system.nets
+
+
+SWEEP_PARAM = '<param target="library.layer[m1].defect_density" {}/>'
+PARAM_CTX = "<param library.layer[m1].defect_density>"
+
+# (file kind, file text or None for an absent file, the message after
+# "<path>: "); "{p}" stands for the file's path
+BAD_INPUTS = {
+    "bad_boolean": ("library", LIB_XML.replace(
+        'reach="1.5"', 'reach="1.5" bidirectional="maybe"'),
+        "<io name='lnk'>: attribute 'bidirectional' must be true or "
+        "false, got 'maybe'"),
+    "bad_density_unit": ("library", LIB_XML.replace(
+        'defect_density="0.01"',
+        'defect_density="0.01" defect_density_unit="per_inch2"'),
+        "<layer name='m1'>: attribute 'defect_density_unit' must be one of "
+        "['per_cm2', 'per_mm2'], got 'per_inch2'"),
+    "bad_unit_of_absent_density": ("library", LIB_XML.replace(
+        'bond_yield="0.999"',
+        'bond_yield="0.999" dielectric_defect_density_unit="mm2"'),
+        "<assembly name='a'>: attribute 'dielectric_defect_density_unit' "
+        "must be one of ['per_cm2', 'per_mm2'], got 'mm2'"),
+    "missing_before_unknown": ("library", LIB_XML.replace(
+        ' bandwidth="8"', ' wat="1"'),
+        "<io name='lnk'>: missing attribute 'bandwidth'"),
+    "bad_value_before_unknown": ("library", LIB_XML.replace(
+        'bandwidth="8"', 'bandwidth="x" wat="1"'),
+        "<io name='lnk'>: attribute 'bandwidth' is not a number: 'x'"),
+    "unknown_attributes": ("library", LIB_XML.replace(
+        'bandwidth="8"', 'bandwidth="8" zz="1" aa="2"'),
+        "<io name='lnk'>: unknown attribute(s): aa, zz"),
+    "missing_library": ("library", None,
+                        "[Errno 2] No such file or directory: '{p}'"),
+    "missing_system": ("system", None,
+                       "[Errno 2] No such file or directory: '{p}'"),
+    "library_root": ("library", "<lib/>",
+                     "expected <library> root, got <lib>"),
+    "library_element": ("library", "<library><wafer name='w'/></library>",
+                        "unknown library element <wafer>"),
+    "system_root": ("system", "<die name='d'/>",
+                    "expected <chip> root, got <die>"),
+    "nested_element": ("system", SYSTEM_XML.replace("<chip name=\"die\"",
+                                                    "<die name=\"die\""),
+                       "expected <chip>, got <die>"),
+    "netlist_root": ("netlist", "<nets/>",
+                     "expected <netlist> root, got <nets>"),
+    "netlist_element": ("netlist", "<netlist><link/></netlist>",
+                        "unknown netlist element <link>"),
+    "sweep_root": ("sweep", "<sweeps/>", "expected <sweep> root, got <sweeps>"),
+    "sweep_attribute": ("sweep", "<sweep name='s'/>",
+                        "<sweep>: unknown attribute(s): name"),
+    "sweep_no_axes": ("sweep", "<sweep/>", "sweep defines no axes"),
+    "sweep_element": ("sweep", "<sweep><axis/></sweep>",
+                      "unknown sweep element <axis>"),
+    "param_no_target": ("sweep", "<sweep><param values='1'/></sweep>",
+                        "<param ?>: missing attribute 'target'"),
+    "param_attribute": ("sweep", "<sweep>{}</sweep>".format(SWEEP_PARAM.format(
+        'values="1" step="2"')),
+        f"{PARAM_CTX}: unknown attribute(s): step"),
+    "param_both": ("sweep", "<sweep>{}</sweep>".format(SWEEP_PARAM.format(
+        'values="1" range="1:2:1"')),
+        f"{PARAM_CTX}: <param> needs exactly one of values or range"),
+    "range_form": ("sweep", "<sweep>{}</sweep>".format(SWEEP_PARAM.format(
+        'range="1:2"')),
+        f"{PARAM_CTX}: range must be start:stop:step, got '1:2'"),
+    "range_number": ("sweep", "<sweep>{}</sweep>".format(SWEEP_PARAM.format(
+        'range="1:x:1"')),
+        f"{PARAM_CTX}: range '1:x:1' is not a number: 'x'"),
+    "range_step": ("sweep", "<sweep>{}</sweep>".format(SWEEP_PARAM.format(
+        'range="1:2:0"')), f"{PARAM_CTX}: range step must be > 0"),
+    "range_empty": ("sweep", "<sweep>{}</sweep>".format(SWEEP_PARAM.format(
+        'range="2:1:1"')), f"{PARAM_CTX}: range '2:1:1' produces no values"),
+    "split_no_counts": ("sweep", "<sweep><split chip='die' io='lnk' "
+                        "side_bandwidth='1'/></sweep>",
+                        "<split die>: missing attribute 'counts'"),
+    "split_attribute": ("sweep", "<sweep><split chip='die' io='lnk' "
+                        "side_bandwidth='1' counts='4' tiles='2'/></sweep>",
+                        "<split die>: unknown attribute(s): tiles"),
+    "split_count": ("sweep", "<sweep><split chip='die' io='lnk' "
+                    "side_bandwidth='1' counts='4,x'/></sweep>",
+                    "<split die>: <split> count is not a number: 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_message(tmp_path, libdir, case):
+    """Each refusal names the file and says what is wrong, word for
+    word."""
+    kind, text, message = BAD_INPUTS[case]
+    path = (str(tmp_path / f"{kind}.xml") if text is None
+            else write(tmp_path, f"{kind}.xml", text))
+    parse = {"library": parse_library, "netlist": parse_netlist,
+             "sweep": parse_sweep,
+             "system": lambda p: parse_system(p, None, parse_library(libdir))}
+    with pytest.raises(cc.ConfigError) as info:
+        parse[kind](path)
+    assert str(info.value) == f"{path}: " + message.format(p=path)
