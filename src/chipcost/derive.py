@@ -7,13 +7,15 @@ Each chip's IO cell area adds those summed instances first, then the
 external nets in net order.
 Power rolls up the tree, pad counts follow from connectivity plus power
 and test needs, and the final area of each chip is the largest of its
-core+IO silicon, its stack footprint, and the area its pads demand.
-Order matters and is deliberate: power first (it does not depend on
-area), then pads, then area. No iteration is needed. Each die is then
-fitted to its wafer and exposure field once, so evaluate reads the fit
-instead of recomputing it. A leaf whose inputs, all but its name, match
-an earlier leaf's copies that leaf's figures, so the tiles of a split are
-derived once per call.
+core+IO silicon, its stack footprint, and the area its pads demand. One
+pass over a chip's children derives them and sums their power, bonded
+pins and crossing pads; its pads use its parent's assembly process (the
+root's own). Order matters and is deliberate: power first (it does not
+depend on area), then pads, then area. No iteration is needed. Each die
+is then fitted to its wafer and exposure field once, so evaluate reads
+the fit instead of recomputing it. A leaf whose inputs, all but its name,
+match an earlier leaf's copies that leaf's figures, so the tiles of a
+split are derived once per call.
 
 IO cell area lands only on the two terminal chips of a net. A chip that
 merely routes a net between descendants accrues bumps for it, not cell
@@ -297,14 +299,6 @@ def place_pads(side0: float, signal_by_type: dict[str, int], n_pads: int,
     return side, grown
 
 
-def _merge(*tallies: dict[str, int]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for tally in tallies:
-        for k, v in tally.items():
-            out[k] = out.get(k, 0) + v
-    return out
-
-
 def _check_die(area: float, side: float, wp: WaferProcessDef,
                context: str) -> None:
     """Refuse a die whose wafer figures cannot be computed: too many dies
@@ -344,34 +338,36 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
 
     ctx = f"chip '{chip.name}'"
     own_asm = (library.assembly_processes[chip.assembly_process]
-               if chip.assembly_process else None)
+               if chip.assembly_process is not None else None)
     interface_asm = parent_asm if parent_asm is not None else own_asm
-    if interface_asm is None:
-        raise ValidationError("no assembly process governs this chip's pads",
-                              ctx)
 
-    children = tuple(derive_chip(c, tally, library, own_asm, memo)
-                     for c in chip.children)
+    # pads: own boundary-crossing signals plus each child's bonded face,
+    # which together cover both faces of this chip
+    signal_by_type = dict(tally.crossing_pads[chip.name])
+    for io, n in tally.external_pads[chip.name].items():
+        signal_by_type[io] = signal_by_type.get(io, 0) + n
+    own_pads_below = sum(signal_by_type.values())
+    children = []
+    p_children = 0.0    # folded left: sum() compensates floats from 3.12
+    n_bonded = 0
+    for c in chip.children:
+        child = derive_chip(c, tally, library, own_asm, memo)
+        children.append(child)
+        p_children += child.power_total
+        n_bonded += child.n_bonded_pins
+        for io, n in tally.crossing_pads[c.name].items():
+            signal_by_type[io] = signal_by_type.get(io, 0) + n
+    children = tuple(children)
 
     p_io = tally.power_io[chip.name]
     if chip.black_box_power is not None:
         p_total = chip.black_box_power
     else:
-        p_total = 0.0   # folded left: sum() compensates floats from 3.12
-        for c in children:
-            p_total += c.power_total
-        p_total = chip.core_power + p_total + p_io
+        p_total = chip.core_power + p_children + p_io
 
     a_core = chip.core_area
     a_io = tally.area_io[chip.name]
     a_stack = stack_area(children, own_asm)
-
-    # pads: own boundary-crossing signals plus each child's bonded face,
-    # which together cover both faces of this chip
-    own_cross = tally.crossing_pads[chip.name]
-    external = tally.external_pads[chip.name]
-    signal_by_type = _merge(own_cross, external, *(
-        tally.crossing_pads[c.spec.name] for c in children))
     n_signal = sum(signal_by_type.values())
     n_power = power_pad_count(p_total, chip.core_voltage, interface_asm, ctx)
     n_test = test_io_count(library.test_processes[chip.test_self])
@@ -401,10 +397,7 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
                 f"child '{c.spec.name}' area {c.area:.6g} exceeds parent "
                 f"area {area:.6g}", ctx)
 
-    if children:
-        _finite(sum(c.n_bonded_pins for c in children), "bonded pin count",
-                ctx)
-    own_pads_below = sum(own_cross.values()) + sum(external.values())
+    _finite(n_bonded, "bonded pin count", ctx)
     wp = library.wafer_processes[chip.wafer_process]
     _check_die(area, side, wp, ctx)
     derived = DerivedChip(

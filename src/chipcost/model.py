@@ -368,8 +368,7 @@ def _validate_chip(chip: ChipSpec, lib: Library, is_root: bool) -> None:
     frac_sum = chip.logic_fraction + chip.memory_fraction + chip.analog_fraction
     _check(abs(frac_sum - 1.0) <= FRACTION_TOL,
            f"content fractions must sum to 1, got {frac_sum}", ctx)
-    needs_assembly = bool(chip.children) or is_root
-    if needs_assembly:
+    if chip.children or is_root:
         _check(chip.assembly_process is not None,
                "assembly_process is required on the root and on any chip "
                "with children", ctx)
@@ -382,24 +381,23 @@ def _validate_chip(chip: ChipSpec, lib: Library, is_root: bool) -> None:
     if chip.test_assembly is not None:
         _check(chip.test_assembly in lib.test_processes,
                f"unknown test process '{chip.test_assembly}'", ctx)
-    for child in chip.children:
-        _validate_chip(child, lib, is_root=False)
 
 
 def validate_system(root: ChipSpec, nets: tuple[NetSpec, ...],
                     library: Library) -> ValidatedSystem:
     """Cross-check the tree and netlist against the library."""
     validate_library(library)
-    _validate_chip(root, library, is_root=True)
-
-    names = [c.name for c in root.walk()]
     seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise ValidationError(
-                f"chip name '{name}' appears more than once in the tree",
-                "system")
-        seen.add(name)
+    repeated = []
+    for chip in root.walk():
+        _validate_chip(chip, library, chip is root)
+        if chip.name in seen:
+            repeated.append(chip.name)
+        seen.add(chip.name)
+    if repeated:
+        raise ValidationError(
+            f"chip name '{repeated[0]}' appears more than once in the tree",
+            "system")
 
     for i, net in enumerate(nets):
         ctx = f"net[{i}] {net.source}->{net.dest}"

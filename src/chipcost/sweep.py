@@ -232,9 +232,10 @@ def parse_sweep(path: str) -> SweepPlan:
             axes.append(FieldAxis(target=target, values=pts, context=ctx))
         elif elem.tag == "split":
             ctx = f"{path}: <split {elem.get('chip', '?')}>"
+            counts = _attr(elem, "counts", str, True, ctx)
             axes.append(_parse_fields(
-                SplitAxis, elem, ctx, context=ctx, counts=_parse_values(
-                    elem.get("counts", ""), ctx, "<split> count")))
+                SplitAxis, elem, ctx, context=ctx,
+                counts=_parse_values(counts, ctx, "<split> count")))
         else:
             raise ValidationError(f"unknown sweep element <{elem.tag}>", path)
     if not axes:
@@ -282,13 +283,17 @@ def apply_field(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
 
 def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
                 axis: SplitAxis, n: int):
-    """Replace the template chip with an m x m mesh of equal shares.
-    Refused, in this order: no template, a template with children, an
-    unknown io type, a template that is the root."""
+    """Replace the template chip with an m x m mesh of equal shares: each
+    tile takes 1/n of its core and black-box area and power and n times
+    its quantity. Refused, in this order: no template, a template with
+    children, an unknown io type, a template that is the root."""
     m = math.isqrt(n)
 
     def tile_name(r: int, c: int) -> str:
         return f"{axis.chip}_{r}_{c}"
+
+    def share(value: float | None) -> float | None:
+        return None if value is None else value / n
 
     def tiles(template: ChipSpec, children: tuple) -> tuple[ChipSpec, ...]:
         if children:
@@ -300,6 +305,8 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
                 name=tile_name(r, c),
                 core_area=template.core_area / n,
                 core_power=template.core_power / n,
+                black_box_area=share(template.black_box_area),
+                black_box_power=share(template.black_box_power),
                 quantity=template.quantity * n)
             for r in range(m) for c in range(m))
 

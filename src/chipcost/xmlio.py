@@ -139,6 +139,8 @@ def _parse_fields(cls, elem: ET.Element, context: str, /, **given):
     and any field the caller reads itself."""
     fields, allowed = _attributes(cls)
     for f, attr, kind, required, unit in fields:
+        if f.name in given:
+            continue
         value = _attr(elem, attr, kind, required, context)
         if unit is not None:
             scale = elem.get(unit, "per_mm2")
@@ -149,7 +151,7 @@ def _parse_fields(cls, elem: ET.Element, context: str, /, **given):
             if value is not None:
                 value *= _DENSITY_UNITS[scale]
         if value is not None:
-            given.setdefault(f.name, value)
+            given[f.name] = value
     _refuse_unknown(elem, allowed, context)
     return cls(**given)
 

@@ -207,6 +207,13 @@ class TestStackArea:
         kids = (self.leaf(100.0), self.leaf(25.0, buried=True))
         assert stack_area(kids, ASM) == pytest.approx(102.01)
 
+    def test_placed_children_need_an_assembly_process(self):
+        assert stack_area((self.leaf(25.0, buried=True),), None) == 0.0
+        with pytest.raises(cc.ValidationError) as info:
+            stack_area((self.leaf(100.0),), None)
+        assert str(info.value) == ("stack_area: children present but no "
+                                   "assembly process")
+
 
 class TestPads:
     def test_power_pad_reference_case(self):

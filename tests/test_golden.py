@@ -5,10 +5,11 @@ regenerates them with `tests/golden/regenerate.py`, whose `--check` runs
 the same comparison under any interpreter; the digests hold from Python
 3.10 on because no float total goes through sum() (checked here on the
 running version by swapping in a compensated sum, and under each other
-python3.10 to python3.14 on PATH that starts).
+python3.10 to python3.14 that starts, on PATH or installed by pyenv).
 """
 import builtins
 import dataclasses
+import glob
 import importlib
 import math
 import os
@@ -33,13 +34,27 @@ def test_outputs_match_golden_digests():
     assert not moved, f"outputs changed: {moved}"
 
 
+def _interpreter(name: str, env: dict) -> str | None:
+    """The first interpreter called `name` that starts: the one on PATH,
+    else one installed under $PYENV_ROOT (default ~/.pyenv), whose shims
+    on PATH can fail to start for a version the shell does not select."""
+    root = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    version = name.removeprefix("python")
+    installed = sorted(glob.glob(os.path.join(root, "versions",
+                                              f"{version}.*", "bin", name)))
+    for exe in (shutil.which(name), *installed):
+        if exe is not None and subprocess.run(
+                [exe, "-c", ""], env=env, capture_output=True,
+                timeout=60).returncode == 0:
+            return exe
+    return None
+
+
 @pytest.mark.parametrize("name", OTHER_PYTHONS)
 def test_outputs_match_golden_digests_under_other_pythons(name):
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
-    exe = shutil.which(name)
-    if exe is None or subprocess.run([exe, "-c", ""], env=env,
-                                     capture_output=True,
-                                     timeout=60).returncode != 0:
+    exe = _interpreter(name, env)
+    if exe is None:
         pytest.skip(f"{name} does not start")
     proc = subprocess.run([exe, REGENERATE, "--check"], env=env,
                           capture_output=True, text=True, timeout=600)

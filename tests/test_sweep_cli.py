@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -13,9 +14,9 @@ import pytest
 import chipcost as cc
 from chipcost.cli import main
 from chipcost.errors import ValidationError, XmlError
-from chipcost.sweep import (FieldAxis, SplitAxis, apply_field, apply_split,
-                            parse_sweep, run_sweep, sweep_columns,
-                            sweep_to_csv)
+from chipcost.sweep import (FieldAxis, SplitAxis, SweepPlan, apply_field,
+                            apply_split, parse_sweep, run_sweep,
+                            sweep_columns, sweep_to_csv)
 from conftest import OVERFLOWS, config_path, data_path, zero_area_system
 
 
@@ -177,6 +178,20 @@ class TestApplySplit:
         assert len(links) == 2 * 3 * 2 + 4 * 3
         assert all(x.bandwidth == pytest.approx(1024.0 / 3) for x in links)
 
+    def test_a_black_box_is_shared_among_the_tiles(self, gp_system):
+        root = dataclasses.replace(gp_system.root, children=tuple(
+            dataclasses.replace(c, black_box_area=800.0,
+                                black_box_power=300.0)
+            for c in gp_system.root.children))
+        axis = dataclasses.replace(self.AXIS, counts=(1, 4, 16))
+        for n in axis.counts:
+            lib, split, nets = apply_split(gp_system.library, root,
+                                           gp_system.nets, axis, n)
+            ds = cc.derive(cc.validate_system(split, nets, lib))
+            assert len(ds.root.children) == n
+            assert sum(t.area for t in ds.root.children) == 800.0
+            assert sum(t.power_total for t in ds.root.children) == 300.0
+
     def test_boundary_bandwidth_is_conserved(self, gp_system):
         for n in (1, 4, 9):
             _, _, nets = self.split(gp_system, n)
@@ -255,6 +270,18 @@ class TestSweepExecution:
 
     def plan(self, tmp_path):
         return parse_sweep(sweep_xml(tmp_path, self.PLAN_BODY))
+
+    def test_a_product_past_the_point_cap_names_the_axis(
+            self, handcheck_system):
+        plan = SweepPlan(axes=(
+            FieldAxis("library.layer[die_metal].defect_density",
+                      tuple(k * 1e-3 for k in range(1000))),
+            FieldAxis("library.test[t_die].fault_coverage", (0.9,) * 1001)))
+        with pytest.raises(ValidationError) as info:
+            run_sweep(handcheck_system, plan)
+        assert str(info.value) == (
+            "sweep: more than 1000000 points once axis "
+            "'library.test[t_die].fault_coverage' joins the product")
 
     def test_rows_in_declaration_order(self, tmp_path, handcheck_system):
         rows = run_sweep(handcheck_system, self.plan(tmp_path))
@@ -373,6 +400,25 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             "error: chip 'tile': chip resolves to zero area (no core, "
             "stack, or pads)"]
+
+    def test_an_assembly_process_named_empty_governs_pads(self, tmp_path):
+        """Validation and derive read an assembly reference the same way:
+        a chip names one when it gives the attribute, even as ""."""
+        gp = Path(config_path("graph_processor"))
+        reports = []
+        for name in ("hybrid_25d", ""):
+            for f in ("library", "system"):
+                text = (gp / f"{f}.xml").read_text()
+                assert '"hybrid_25d"' in text
+                write(tmp_path / f"{f}.xml",
+                      text.replace('"hybrid_25d"', f'"{name}"'))
+            out = tmp_path / "report.json"
+            assert main(["eval", "--library", str(tmp_path / "library.xml"),
+                         "--system", str(tmp_path / "system.xml"),
+                         "--netlist", str(gp / "netlist.xml"),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_infeasible_exits_3_but_writes(self, tmp_path):
         # a defect density big enough to underflow the die yield to zero,

@@ -322,6 +322,13 @@ BAD_INPUTS = {
         f"{PARAM_CTX}: range '1:x:1' is not a number: 'x'"),
     "range_step": ("sweep", "<sweep>{}</sweep>".format(SWEEP_PARAM.format(
         'range="1:2:0"')), f"{PARAM_CTX}: range step must be > 0"),
+    "param_field": ("sweep", "<sweep><param target='library.layer[m1].nope'"
+                    " values='1'/></sweep>",
+                    "<param library.layer[m1].nope>: layer 'm1' has no field "
+                    "'nope'"),
+    "range_size": ("sweep", "<sweep>{}</sweep>".format(SWEEP_PARAM.format(
+        'range="0:1e6:1"')),
+        f"{PARAM_CTX}: range '0:1e6:1' has more than 1000000 values"),
     "range_empty": ("sweep", "<sweep>{}</sweep>".format(SWEEP_PARAM.format(
         'range="2:1:1"')), f"{PARAM_CTX}: range '2:1:1' produces no values"),
     "split_no_counts": ("sweep", "<sweep><split chip='die' io='lnk' "
