@@ -14,8 +14,9 @@ root's own). Order matters and is deliberate: power first (it does not
 depend on area), then pads, then area. No iteration is needed. Each die
 is then fitted to its wafer and exposure field once, so evaluate reads
 the fit instead of recomputing it. A leaf whose inputs, all but its name,
-match an earlier leaf's copies that leaf's figures, so the tiles of a
-split are derived once per call.
+match an earlier leaf's copies that leaf's figures and names it as its
+twin, so the tiles of a split are derived once per call and evaluate
+costs each class of them once.
 
 IO cell area lands only on the two terminal chips of a net. A chip that
 merely routes a net between descendants accrues bumps for it, not cell
@@ -65,13 +66,16 @@ class DerivedChip(Tree):
     n_bonded_pins: int      # pads on the face bonded to the parent
     grown_for_pads: bool
     fit: ReticleFit         # the die on its process's exposure field
+    # a copied leaf: the leaf derived in full whose figures it took, and
+    # whose costs it shares; None on a leaf derived in full
+    twin: DerivedChip | None = None
 
 
 # A leaf's figures depend on its spec only through these fields, all but
-# its name; a copy takes every field of the record after spec.
-_LEAF_INPUTS = attrgetter(*(f.name for f in fields(ChipSpec)
-                            if f.name != "name"))
-_FIGURES = attrgetter(*(f.name for f in fields(DerivedChip)[1:]))
+# its name (the first); a copy takes every field of the record after spec
+# and before twin.
+_LEAF_INPUTS = attrgetter(*(f.name for f in fields(ChipSpec)[1:]))
+_FIGURES = attrgetter(*(f.name for f in fields(DerivedChip)[1:-1]))
 
 
 @dataclass(frozen=True)
@@ -320,12 +324,17 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
                 parent_asm: AssemblyProcessDef | None,
                 memo: dict | None = None) -> DerivedChip:
     """chip and its subtree. With a memo, a leaf whose inputs match a leaf
-    derived before into that memo copies its figures under its own spec;
-    only a leaf that passed every check is kept."""
+    derived before into that memo copies its figures under its own spec
+    and names that leaf as its twin; only a leaf that passed every check
+    is kept."""
     key = None
     if memo is not None and not chip.children:
         # == takes -0.0 for 0.0: the two floats a leaf keeps unchanged
-        # (area_core, power_total) key the sign of a zero as well
+        # (area_core, power_total) key the sign of a zero as well. The
+        # content fractions need not: only nre_cost_self reads them, and
+        # there they move fe + be by at most a zero's sign, which adding
+        # the mask share erases (the mask total starts at +0.0, so that
+        # share is never -0.0). So twins cost the same too
         a, p = chip.core_area, chip.black_box_power
         name = chip.name
         key = (*_LEAF_INPUTS(chip), a == 0.0 and repr(a),
@@ -334,7 +343,7 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
                None, *tally.external_pads[name].items(), id(parent_asm))
         hit = memo.get(key)
         if hit is not None:
-            return DerivedChip(chip, *_FIGURES(hit))
+            return DerivedChip(chip, *_FIGURES(hit), hit)
 
     ctx = f"chip '{chip.name}'"
     own_asm = (library.assembly_processes[chip.assembly_process]

@@ -18,6 +18,12 @@ whose wafer figures cannot be computed at all (too small to pack, or an
 exposure count past float range) never gets here: derive refuses it
 while fitting the die to its exposure field.
 
+A leaf that derive copied from a twin costs what its twin costs: each
+evaluate call costs the first leaf it reaches of each such class and
+gives the others those costs under their own names and paths. derive's
+key covers every input a leaf's costs read (every spec field but the
+name), so no output changes.
+
 evaluate's memo keeps, per node, its last costs and the library entries
 its subtree and its own die read: a sweep point re-costs only the nodes,
 and re-figures only the dies, that read an entry the point moved.
@@ -198,11 +204,21 @@ def _entries_read(chip: DerivedChip, memo: dict) -> tuple:
 
 def _evaluate_node(chip: DerivedChip, library: Library, path: str,
                    memo: dict | None, moved: Collection,
-                   last: tuple | None) -> NodeCosts:
+                   last: tuple | None, seen: dict) -> NodeCosts:
     """chip's costs; `last` is its memo entry, which some entry it reads
-    moved since, or None."""
+    moved since, or None. `seen` holds the costs of each leaf this
+    evaluate call costed, keyed by the id of its twin or, without one,
+    its own: a leaf with a twin found there takes them under its name and
+    path."""
     spec = chip.spec
     my_path = f"{path}/{spec.name}" if path else spec.name
+    twin = chip.twin
+    if twin is not None and (found := seen.get(id(twin))) is not None:
+        costs = tuple.__new__(NodeCosts, (spec.name, my_path, *found[2:]))
+        if memo is not None:
+            memo[id(chip)] = (*(last[:2] if last
+                                else _entries_read(chip, memo)), costs)
+        return costs
     # one pass over the children: their costs, each from the memo when
     # nothing it reads moved, and their sums, folded left in child order
     children = []
@@ -211,7 +227,8 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
     for c in chip.children:
         entry = memo.get(id(c)) if memo is not None else None
         costs = (entry[2] if entry is not None and entry[0].isdisjoint(moved)
-                 else _evaluate_node(c, library, my_path, memo, moved, entry))
+                 else _evaluate_node(c, library, my_path, memo, moved, entry,
+                                     seen))
         children.append(costs)
         bonded_area += c.area
         n_pins += c.n_bonded_pins
@@ -278,6 +295,8 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
         yield_child_quality=y_child_q, yield_tested_assembly=y_tested_asm,
         yield_chip=y_chip, quality_shipped=q_shipped,
         infeasible=not math.isfinite(c_re + c_nre), children=children)
+    if not children:
+        seen[id(twin or chip)] = costs
     if memo is not None:
         memo[id(chip)] = (*(last[:2] if last else _entries_read(chip, memo)),
                           costs)
@@ -292,13 +311,14 @@ def evaluate(ds: DerivedSystem, *, memo: dict | None = None,
     node's last costs and the library entries ((kind, name) pairs) its
     subtree and its own die read. A node whose subtree reads none of the
     `moved` entries returns its costs without recursing; one whose die
-    reads none keeps its die figures (cost_die to cost_nre_self). The
+    reads none keeps its die figures (cost_die to cost_nre_self). A leaf
+    and the copies naming it as their twin are costed once per call. The
     breakdown still walks every node, so the sums keep their bits.
     """
     last = memo.get(id(ds.root)) if memo is not None else None
     root = (last[2] if last is not None and last[0].isdisjoint(moved)
             else _evaluate_node(ds.root, ds.system.library, "", memo, moved,
-                                last))
+                                last, {}))
     silicon = 0.0
     assembly = 0.0
     test = 0.0

@@ -56,7 +56,7 @@ import re
 import threading
 from dataclasses import dataclass
 
-from .derive import derive
+from .derive import _LEAF_INPUTS, derive
 from .engine import evaluate
 from .errors import ConfigError, ValidationError
 from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
@@ -299,16 +299,16 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
         if children:
             raise ValidationError("the split template must be a leaf chip",
                                   axis.context)
-        return tuple(
-            dataclasses.replace(
-                template,
-                name=tile_name(r, c),
-                core_area=template.core_area / n,
-                core_power=template.core_power / n,
-                black_box_area=share(template.black_box_area),
-                black_box_power=share(template.black_box_power),
-                quantity=template.quantity * n)
-            for r in range(m) for c in range(m))
+        # one divided tile; each named tile takes its fields after the name
+        rest = _LEAF_INPUTS(dataclasses.replace(
+            template,
+            core_area=template.core_area / n,
+            core_power=template.core_power / n,
+            black_box_area=share(template.black_box_area),
+            black_box_power=share(template.black_box_power),
+            quantity=template.quantity * n))
+        return tuple(ChipSpec(tile_name(r, c), *rest)
+                     for r in range(m) for c in range(m))
 
     roots, hits = _rewrite(root, axis.chip, tiles)
     if hits == 0:
@@ -331,8 +331,9 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
                for i in range(m)
                for side, (r, c) in (("w", (i, 0)), ("e", (i, m - 1)),
                                     ("n", (0, i)), ("s", (m - 1, i)))))
-    new_nets.extend(NetSpec(source=src, dest=dst, io_type=axis.io_type,
-                            bandwidth=link_bw, utilization=axis.utilization)
+    # source, dest, io_type, bandwidth, count, utilization
+    new_nets.extend(NetSpec(src, dst, axis.io_type, link_bw, None,
+                            axis.utilization)
                     for src, dst in links)
     return lib, roots[0], tuple(new_nets)
 

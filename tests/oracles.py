@@ -362,17 +362,26 @@ def derive_without_memo(system):
     return DerivedSystem(system=system, matrices=tally.matrices, root=root)
 
 
+def evaluate_in_full(system):
+    """The cost report with every chip derived and costed in full: no leaf
+    of derive_without_memo has a twin, so evaluate costs each one."""
+    from chipcost.engine import evaluate
+
+    return evaluate(derive_without_memo(system))
+
+
 def derived_differences(a, b) -> list:
     """(chip, field) of each figure whose repr differs between two derived
     trees, pre-order; repr tells -0.0 from 0.0, which == does not. The
-    specs must be the same objects."""
+    specs must be the same objects. A copied leaf's twin is a link, not
+    a figure, so it is not compared."""
     import dataclasses
     import itertools
 
     from chipcost.derive import DerivedChip
 
     names = [f.name for f in dataclasses.fields(DerivedChip)
-             if f.name not in ("spec", "children")]
+             if f.name not in ("spec", "children", "twin")]
     out = []
     for x, y in itertools.zip_longest(a.walk(), b.walk()):
         if x is None or y is None or x.spec is not y.spec:
@@ -385,11 +394,10 @@ def derived_differences(a, b) -> list:
 def naive_sweep(base, plan):
     """Every row of a sweep by the plain per-point pipeline: each point's
     values applied to the base, then validate_system, derive and evaluate
-    from scratch. run_sweep must match it row for row."""
+    from scratch, every leaf in full. run_sweep must match it row for
+    row."""
     import itertools
 
-    from chipcost.derive import derive
-    from chipcost.engine import evaluate
     from chipcost.model import validate_system
     from chipcost.sweep import FieldAxis, apply_field, apply_split
 
@@ -406,7 +414,7 @@ def naive_sweep(base, plan):
                             if c.name == axis.chip)
                 lib, root, nets = apply_split(lib, root, nets, axis, value)
                 cells.append(area / value)
-        report = evaluate(derive(validate_system(root, nets, lib)))
+        report = evaluate_in_full(validate_system(root, nets, lib))
         cells.extend([report.cost_total, *report.breakdown.values(),
                       report.root.yield_chip, report.root.quality_shipped,
                       report.root.area, report.root.power,

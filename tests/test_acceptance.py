@@ -29,7 +29,8 @@ from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, apply_field, \
 from conftest import config_path, split_tiles
 from gensys import check_invariants, make_system
 from oracles import (derive_without_memo, derived_differences,
-                     grid_family_oracle, naive_sweep, stitch_layout_edges)
+                     evaluate_in_full, grid_family_oracle, naive_sweep,
+                     stitch_layout_edges)
 from test_fixture_oracle import spreadsheet
 
 
@@ -374,9 +375,11 @@ def test_a_shared_designs_memo_pays_from_its_second_point(monkeypatch):
     monkeypatch.setattr("chipcost.sweep.evaluate", evaluate)
     rows = cc.run_sweep(system, plan)
     assert len(rows) == 5
-    # the first point costs all 17 dies; from the second, the substrate
-    # die, which does not read tile_scan, keeps its figures
-    assert per_point == [17, 16, 16, 16, 16]
+    # the 16 tiles fall into 3 classes (corner, edge, interior), each
+    # costed once per point: the first point costs the substrate die and
+    # 3 tiles; from the second, the substrate die, which does not read
+    # tile_scan, keeps its figures
+    assert per_point == [4, 3, 3, 3, 3]
 
 
 def test_a_split_declared_inside_a_derive_axis_is_built_once_per_count(
@@ -473,6 +476,48 @@ def test_derive_fits_each_distinct_tile_once(gp_system, monkeypatch):
         assert derived_differences(
             cc.derive(system).root,
             derive_without_memo(system).root) == [], seed
+
+
+def test_evaluate_costs_each_distinct_tile_once(gp_system, monkeypatch):
+    # a tile derive copied costs what its twin costs, so one evaluate
+    # costs the root die and one tile per class at any n >= 16; costing
+    # every tile in full costs n + 1 dies and must give the same bytes.
+    # graph_processor's mesh link is one-way with equal driver and
+    # receiver areas, so all its tiles cost the same; with a larger
+    # receiver a tile's class follows its link directions too, and the
+    # classes cost apart
+    lib = gp_system.library
+    lopsided = dataclasses.replace(gp_system, library=dataclasses.replace(
+        lib, ios={**lib.ios, "mesh_link": dataclasses.replace(
+            lib.ios["mesh_link"], rx_area=4 * lib.ios["mesh_link"].tx_area)}))
+    module = importlib.import_module("chipcost.engine")
+    cost = module.die_cost
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return cost(*args)
+
+    def die_costs(system, what):
+        # die_cost calls of one evaluate, whose bytes must be the oracle's
+        nonlocal calls
+        calls = 0
+        report = cc.evaluate(cc.derive(system))
+        made = calls
+        full = evaluate_in_full(system)
+        assert cc.report_to_json(report) == cc.report_to_json(full), what
+        assert cc.report_to_csv(report) == cc.report_to_csv(full), what
+        return made, {tile[2:] for tile in report.root.children}
+
+    monkeypatch.setattr(module, "die_cost", counted)
+    for n in (1, 16, 64, 256, 1024):
+        made, _ = die_costs(split_tiles(gp_system, n), n)
+        assert made == 2 if n == 1 else made <= 4, (n, made)
+        made, costs = die_costs(split_tiles(lopsided, n), n)
+        assert made == 2 if n == 1 else made <= 7 and len(costs) == 3, n
+    for seed in range(200):
+        die_costs(make_system(seed), seed)
 
 
 def test_json_report_makes_few_python_calls_per_node(gp_system):

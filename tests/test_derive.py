@@ -14,7 +14,8 @@ from chipcost.model import _field_checks
 from chipcost.wafer import reticle_fit
 from conftest import split_tiles, zero_area_system
 from gensys import make_system
-from oracles import derive_without_memo, derived_differences, naive_net_tally
+from oracles import (derive_without_memo, derived_differences,
+                     evaluate_in_full, naive_net_tally)
 
 IO4 = cc.IODefinition(name="io4", tx_area=0.1, rx_area=0.2, bandwidth=4.0,
                       reach=2.0, wires_per_instance=4, energy_per_bit=1.0)
@@ -505,6 +506,35 @@ class TestLeafMemo:
         assert derived_differences(memo.root, full.root) == []
         assert (cc.report_to_json(cc.evaluate(memo))
                 == cc.report_to_json(cc.evaluate(full)))
+
+    def test_the_sign_of_a_zero_fraction_never_reaches_the_costs(
+            self, gp_system):
+        # the key takes -0.0 for 0.0 in the content fractions, so tiles
+        # apart only in that sign share a twin and its costs. With the
+        # memory NRE rates and the mask cost at -0.0, a tile's fe + be is
+        # -0.0 or 0.0 by that sign; adding the mask share must erase it
+        lib = gp_system.library
+        tile = gp_system.root.children[0]
+        lib = dataclasses.replace(
+            lib,
+            wafer_processes={**lib.wafer_processes,
+                             tile.wafer_process: dataclasses.replace(
+                                 lib.wafer_processes[tile.wafer_process],
+                                 nre_fe_memory=-0.0, nre_be_memory=-0.0)},
+            layers={**lib.layers, **{
+                name: dataclasses.replace(lib.layers[name], mask_cost=-0.0)
+                for name in tile.layers}})
+        system = split_with(
+            dataclasses.replace(gp_system, library=lib), 16,
+            lambda c, k: dataclasses.replace(
+                c, logic_fraction=-0.0 if k % 2 else 0.0,
+                memory_fraction=1.0, analog_fraction=-0.0 if k % 2 else 0.0))
+        ds = derive(system)
+        assert any(c.twin is not None and repr(c.spec.logic_fraction)
+                   != repr(c.twin.spec.logic_fraction)
+                   for c in ds.root.children)
+        assert (cc.report_to_json(cc.evaluate(ds))
+                == cc.report_to_json(evaluate_in_full(system)))
 
     def test_the_first_failing_tile_is_named(self, gp_system):
         # every tile draws power with no voltage; each fails derive_chip

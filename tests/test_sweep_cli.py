@@ -192,6 +192,42 @@ class TestApplySplit:
             assert sum(t.area for t in ds.root.children) == 800.0
             assert sum(t.power_total for t in ds.root.children) == 300.0
 
+    def test_tiles_and_links_are_what_keyword_builds_give(self, gp_system):
+        # each tile is built positionally from one divided template, each
+        # link positionally too: they must be the records that
+        # dataclasses.replace and keyword construction give, every field
+        # carried (a black box, buried, fractions and share off default)
+        template = dataclasses.replace(
+            gp_system.root.children[0], black_box_area=800.0,
+            black_box_power=300.0, buried=True, logic_fraction=0.5,
+            memory_fraction=0.3, analog_fraction=0.2, reticle_share=0.5)
+        root = dataclasses.replace(gp_system.root, children=(template,))
+        axis = dataclasses.replace(self.AXIS, counts=(1, 4, 16, 1024),
+                                   utilization=0.5)
+        for n in axis.counts:
+            m = math.isqrt(n)
+            _, split, nets = apply_split(gp_system.library, root,
+                                         gp_system.nets, axis, n)
+            want = [dataclasses.replace(
+                template, name=f"tile_{r}_{c}",
+                core_area=template.core_area / n,
+                core_power=template.core_power / n,
+                black_box_area=template.black_box_area / n,
+                black_box_power=template.black_box_power / n,
+                quantity=template.quantity * n)
+                for r in range(m) for c in range(m)]
+            links = [x for x in nets if x.source.startswith("tile_")]
+            assert len(links) == 2 * m * (m - 1) + 4 * m
+            want_links = [cc.NetSpec(source=x.source, dest=x.dest,
+                                     io_type="mesh_link",
+                                     bandwidth=1024.0 / m, utilization=0.5)
+                          for x in links]
+            for got, expect in ((list(split.children), want),
+                                (links, want_links)):
+                assert got == expect, n
+                assert list(map(repr, got)) == list(map(repr, expect)), n
+                assert list(map(type, got)) == list(map(type, expect)), n
+
     def test_boundary_bandwidth_is_conserved(self, gp_system):
         for n in (1, 4, 9):
             _, _, nets = self.split(gp_system, n)
