@@ -31,9 +31,9 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .errors import ValidationError
-from .model import (AssemblyProcessDef, ChipSpec, IODefinition, Library,
-                    NetSpec, TestProcessDef, Tree, ValidatedSystem,
-                    WaferProcessDef)
+from .model import (_LEAF_INPUTS, AssemblyProcessDef, ChipSpec,
+                    IODefinition, Library, NetSpec, TestProcessDef, Tree,
+                    ValidatedSystem, WaferProcessDef)
 from .wafer import ReticleFit, reticle_fit
 
 _EPS = 1e-12
@@ -71,10 +71,7 @@ class DerivedChip(Tree):
     twin: DerivedChip | None = None
 
 
-# A leaf's figures depend on its spec only through these fields, all but
-# its name (the first); a copy takes every field of the record after spec
-# and before twin.
-_LEAF_INPUTS = attrgetter(*(f.name for f in fields(ChipSpec)[1:]))
+# A copied leaf takes every field of the record after spec and before twin.
 _FIGURES = attrgetter(*(f.name for f in fields(DerivedChip)[1:-1]))
 
 

@@ -1,8 +1,12 @@
 """Domain model: process definitions, chip tree, netlist, and validation.
 
-Everything here is a frozen dataclass. Parameter studies never mutate a
-model in place; they rebuild the changed pieces with dataclasses.replace,
-so no sweep point alters the inputs another point holds.
+Every record here is a slotted dataclass that nothing assigns to after
+it is built; a test holds the package to that. They are not frozen: a
+frozen __init__ stores each field through object.__setattr__, several
+times slower, and a split builds thousands of records. Equal records
+hash equal. Parameter studies never mutate a model in place; they
+rebuild the changed pieces with dataclasses.replace, so no sweep point
+alters the inputs another point holds.
 
 Each dataclass is also the one record of its XML element: a field is an
 attribute of the same name and type, and its default is the attribute's
@@ -29,6 +33,7 @@ import functools
 import math
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import ValidationError
 
@@ -47,7 +52,7 @@ class Tree:
             yield from child.walk()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IODefinition:
     """One IO cell type from the library; derive reads every field."""
 
@@ -74,7 +79,7 @@ class IODefinition:
         return self.tx_area if self.rx_area is None else self.rx_area
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LayerDef:
     """A processed silicon layer charged per mm2 of the chip it is part of."""
 
@@ -95,7 +100,7 @@ class LayerDef:
     stitch_yield: float = field(default=1.0, metadata={"check": "(0, 1]"})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WaferProcessDef:
     """Wafer geometry, dicing style, and per-mm2 design effort rates.
 
@@ -125,7 +130,7 @@ class WaferProcessDef:
         return self.wafer_diameter / 2.0 - self.edge_exclusion
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AssemblyProcessDef:
     """Bonding children onto a chip: machine time, geometry, and yields."""
 
@@ -161,7 +166,7 @@ class AssemblyProcessDef:
         default=0.0, metadata={"unit": True, "check": ">= 0"})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TestProcessDef:
     """Scan test economics for one test insertion."""
 
@@ -181,7 +186,7 @@ class TestProcessDef:
                                                      "derive": True})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NetSpec:
     """A directed connection; bidirectional IO types carry traffic both ways."""
 
@@ -195,7 +200,7 @@ class NetSpec:
     utilization: float = field(default=1.0, metadata={"check": "[0, 1]"})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ChipSpec(Tree):
     """A node of the physical hierarchy: die, interposer, or board.
 
@@ -232,9 +237,10 @@ class ChipSpec(Tree):
     children: tuple[ChipSpec, ...] = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Library:
-    """Name-keyed process definitions. Treated as immutable after build."""
+    """Name-keyed process definitions. Never altered after build: a
+    study builds a new Library around the tables it changes."""
 
     ios: dict[str, IODefinition]
     layers: dict[str, LayerDef]
@@ -243,13 +249,18 @@ class Library:
     test_processes: dict[str, TestProcessDef]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ValidatedSystem:
     """A chip tree plus netlist checked against a library."""
 
     root: ChipSpec
     nets: tuple[NetSpec, ...]
     library: Library
+
+
+# A leaf's inputs: every field of it but its name (the first). A non-root
+# leaf's checks and its derived figures read nothing else of its spec.
+_LEAF_INPUTS = attrgetter(*(f.name for f in dataclasses.fields(ChipSpec)[1:]))
 
 
 # A field's value type by its annotation; an optional ("X | None") field
@@ -385,12 +396,22 @@ def _validate_chip(chip: ChipSpec, lib: Library, is_root: bool) -> None:
 
 def validate_system(root: ChipSpec, nets: tuple[NetSpec, ...],
                     library: Library) -> ValidatedSystem:
-    """Cross-check the tree and netlist against the library."""
+    """Cross-check the tree and netlist against the library. A non-root
+    leaf equal, name aside, to one that passed passes too and is not
+    checked again; a leaf that fails is never stored, so the first
+    failing chip in pre-order is the one named."""
     validate_library(library)
     seen: set[str] = set()
+    passed = set()
     repeated = []
     for chip in root.walk():
-        _validate_chip(chip, library, chip is root)
+        if chip.children or chip is root:
+            _validate_chip(chip, library, chip is root)
+        else:
+            key = _LEAF_INPUTS(chip)
+            if key not in passed:
+                _validate_chip(chip, library, False)
+                passed.add(key)
         if chip.name in seen:
             repeated.append(chip.name)
         seen.add(chip.name)

@@ -1,13 +1,14 @@
 """Parameter sweeps: scalar field axes and the homogeneous split axis.
 
-A sweep is a cartesian product over axes. The models are frozen
-dataclasses: a point rebuilds the pieces its values change and alters no
-other point's. Each axis is resolved and its values checked once, when
-it is built; a value it cannot apply at a point is refused naming the
-axis. An axis answers for itself: when built it sets `points` (its
-values), `columns` (the row cells it adds), `entries` (the library
-(kind, name) pairs its values move) and `stage`, and apply(lib, root,
-nets, value) returns the three with the value applied, plus the cells.
+A sweep is a cartesian product over axes. The models are never
+altered after build: a point rebuilds the pieces its values change and
+alters no other point's. Each axis is resolved and its values checked
+once, when it is built; a value it cannot apply at a point is refused
+naming the axis. An axis answers for itself: when built it sets
+`points` (its values), `columns` (the row cells it adds), `entries`
+(the library (kind, name) pairs its values move) and `stage`, and
+apply(lib, root, nets, value) returns the three with the value
+applied, plus the cells.
 
 Each axis has a stage, the earliest one its values change: TREE for a
 chip or split axis, DERIVE for a library field marked "derive" in the
@@ -56,11 +57,11 @@ import re
 import threading
 from dataclasses import dataclass
 
-from .derive import _LEAF_INPUTS, derive
+from .derive import derive
 from .engine import evaluate
 from .errors import ConfigError, ValidationError
-from .model import (LIBRARY_KINDS, ChipSpec, Library, NetSpec,
-                    ValidatedSystem, check_fields, derive_fields,
+from .model import (_LEAF_INPUTS, LIBRARY_KINDS, ChipSpec, Library,
+                    NetSpec, ValidatedSystem, check_fields, derive_fields,
                     field_kinds, validate_library, validate_system)
 from .report import csv_text, format_value
 from .xmlio import (_attr, _parse_fields, _parse_xml, _refuse_unknown,

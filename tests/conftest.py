@@ -51,6 +51,22 @@ def zero_area_system(gp_system):
         dataclasses.replace(gp_system.root, children=(tile,)), (), lib)
 
 
+@pytest.fixture
+def checked_chips(monkeypatch):
+    """The name of each chip validate_system runs its checks on, in
+    order, while the test runs."""
+    from chipcost import model
+    check = model._validate_chip
+    names = []
+
+    def counted(chip, library, is_root):
+        names.append(chip.name)
+        return check(chip, library, is_root)
+
+    monkeypatch.setattr(model, "_validate_chip", counted)
+    return names
+
+
 @pytest.fixture(scope="session")
 def handcheck_library():
     return cc.parse_library(data_path("handcheck", "library.xml"))

@@ -138,6 +138,53 @@ def make_system(seed: int) -> cc.ValidatedSystem:
     return cc.validate_system(root, tuple(nets), lib)
 
 
+def make_twins(seed: int) -> cc.ValidatedSystem:
+    """make_system(seed) with twin leaves: copies of up to three of its
+    non-root leaves, each copy equal to its leaf but for its name and
+    placed beside it. The copies of one leaf share a drawn set of nets,
+    each copy one of each, so they tally alike; a copy of a leaf with no
+    nets and an empty set tallies like its leaf. make_system's own draws
+    are untouched, so its systems stay as they are."""
+    system = make_system(seed)
+    rng = random.Random(f"twins{seed}")
+    names = [c.name for c in system.root.walk()]
+    leaves = [c.name for c in system.root.walk()
+              if not c.children and c is not system.root]
+    picked = set(rng.sample(leaves, min(len(leaves), rng.randint(1, 3))))
+    ios = sorted(system.library.ios)
+    nets = list(system.nets)
+
+    def net_set():
+        out = []
+        for i in range(rng.randint(0, 2)):
+            far = rng.choice((*names, f"twin_ext{i}"))
+            kw = ({"count": rng.randint(1, 6)} if rng.random() < 0.3 else
+                  {"bandwidth": rng.uniform(1.0, 64.0),
+                   "utilization": rng.uniform(0.3, 1.0)})
+            out.append((far, rng.random() < 0.5, rng.choice(ios), kw))
+        return out
+
+    def grow(chip):
+        children = []
+        for child in chip.children:
+            children.append(grow(child) if child.children else child)
+            if child.name in picked:
+                shared = net_set()
+                for j in range(rng.randint(1, 3)):
+                    twin = dataclasses.replace(child,
+                                               name=f"{child.name}t{j}")
+                    children.append(twin)
+                    for far, outbound, io, kw in shared:
+                        src, dst = ((twin.name, far) if outbound
+                                    else (far, twin.name))
+                        nets.append(cc.NetSpec(source=src, dest=dst,
+                                               io_type=io, **kw))
+        return dataclasses.replace(chip, children=tuple(children))
+
+    return cc.validate_system(grow(system.root), tuple(nets),
+                              system.library)
+
+
 def scale_defects(system: cc.ValidatedSystem,
                   factor: float) -> cc.ValidatedSystem:
     layers = {k: dataclasses.replace(v,

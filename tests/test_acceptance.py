@@ -308,6 +308,15 @@ def test_library_sweeps_recheck_only_the_entries_their_axes_name(
     assert len(checked) == base + 1018
 
 
+def test_validating_a_split_checks_the_root_and_one_tile(gp_system,
+                                                         checked_chips):
+    # the tiles of a split are equal but for their names: once the first
+    # passes, each other one is checked only for its name
+    system = split_tiles(gp_system, 1024)
+    assert len(system.root.children) == 1024
+    assert checked_chips == ["substrate", "tile_0_0"]
+
+
 def test_library_sweeps_recost_only_the_subtrees_a_point_changed(
         gp_system, monkeypatch):
     base = split_tiles(gp_system, 16)

@@ -13,9 +13,10 @@ from chipcost.derive import test_io_count as scan_io_count
 from chipcost.model import _field_checks
 from chipcost.wafer import reticle_fit
 from conftest import split_tiles, zero_area_system
-from gensys import make_system
+from gensys import make_system, make_twins
 from oracles import (derive_without_memo, derived_differences,
                      evaluate_in_full, naive_net_tally)
+from test_model import MODELS
 
 IO4 = cc.IODefinition(name="io4", tx_area=0.1, rx_area=0.2, bandwidth=4.0,
                       reach=2.0, wires_per_instance=4, energy_per_bit=1.0)
@@ -609,6 +610,29 @@ class TestLeafMemo:
         a, b = (mid.children[0] for mid in ds.root.children)
         assert a.n_power_pads != b.n_power_pads
 
+    @pytest.mark.parametrize("first", range(0, 200, 50))
+    def test_twin_leaves_of_random_systems_match_the_oracles(
+            self, first, checked_chips):
+        # make_twins copies leaves of a random system under new names:
+        # validation checks each copy only for its name, derive copies
+        # the figures of those whose nets tally alike, and evaluate costs
+        # each copied leaf's twin once
+        skipped = copied = 0
+        for seed in range(first, first + 50):
+            system = make_twins(seed)
+            checked_chips.clear()
+            cc.validate_system(system.root, system.nets, system.library)
+            skipped += (sum(1 for _ in system.root.walk())
+                        - len(checked_chips))
+            ds = derive(system)
+            assert derived_differences(
+                ds.root, derive_without_memo(system).root) == [], seed
+            report, full = cc.evaluate(ds), evaluate_in_full(system)
+            assert cc.report_to_json(report) == cc.report_to_json(full), seed
+            assert cc.report_to_csv(report) == cc.report_to_csv(full), seed
+            copied += sum(c.twin is not None for c in ds.root.walk())
+        assert skipped > 0 and copied > 0
+
 
 class TestDerivedChipRecord:
     def test_keyword_construction(self):
@@ -627,9 +651,11 @@ class TestDerivedChipRecord:
                 == [c.name for c in system.root.walk()])
 
     def test_no_module_assigns_a_derived_chip_attribute(self):
-        # DerivedChip is not frozen (leaves copy each other's figures
-        # cheaply), so it is kept immutable by never assigning to one
-        names = {f.name for f in dataclasses.fields(cc.DerivedChip)}
+        # DerivedChip and the model records are not frozen (building and
+        # copying them stays cheap), so they are kept immutable by never
+        # assigning to a field of one
+        names = {f.name for cls in (cc.DerivedChip, *MODELS)
+                 for f in dataclasses.fields(cls)}
         src = Path(cc.__file__).parent
         found = []
         for path in sorted(src.glob("*.py")):

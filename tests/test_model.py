@@ -1,9 +1,16 @@
 import dataclasses
+import pickle
 
 import pytest
 
 import chipcost as cc
-from chipcost.model import LIBRARY_KINDS, validate_library
+from chipcost import model
+from chipcost.model import LIBRARY_KINDS, _field_checks, validate_library
+
+# every record class chipcost.model defines
+MODELS = tuple(v for v in vars(model).values()
+               if dataclasses.is_dataclass(v)
+               and v.__module__ == model.__name__)
 
 IO = cc.IODefinition(name="io", tx_area=0.1, rx_area=0.2, bandwidth=8.0,
                      reach=1.0, wires_per_instance=4, energy_per_bit=0.5)
@@ -23,6 +30,7 @@ ASM = cc.AssemblyProcessDef(name="a", pick_place_time=10.0,
 TEST = cc.TestProcessDef(name="t", cost_per_second=0.1, patterns=1000,
                          scan_chain_length=100, clock_period=1e-8,
                          fault_coverage=0.9)
+NET = cc.NetSpec(source="inner", dest="host", io_type="io", bandwidth=1.0)
 
 
 def lib():
@@ -52,6 +60,46 @@ def chip(**kw):
 def test_valid_system_passes():
     sys_ = cc.validate_system(chip(), (), lib())
     assert sys_.root.name == "die"
+
+
+def record(cls):
+    """A record of the model class cls."""
+    inner = chip(name="inner", assembly_process=None)
+    system = cc.validate_system(chip(children=(inner,), test_assembly="t"),
+                                (NET,), lib())
+    made = {type(r): r for r in (IO, LAYER, WAFER, ASM, TEST, NET,
+                                 system.root, system.library, system)}
+    return made[cls]
+
+
+class TestRecords:
+    def test_there_are_nine_model_classes(self):
+        assert len(MODELS) == 9
+
+    @pytest.mark.parametrize("cls", MODELS, ids=lambda c: c.__name__)
+    def test_has_no_instance_dict(self, cls):
+        obj = record(cls)
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            obj.brand_new = 0.0
+
+    # Library and ValidatedSystem hold dicts, which do not hash
+    @pytest.mark.parametrize("cls", [c for c in MODELS if c not in (
+        cc.Library, cc.ValidatedSystem)], ids=lambda c: c.__name__)
+    def test_equal_records_hash_equal(self, cls):
+        obj = record(cls)
+        copy = dataclasses.replace(obj)
+        assert copy is not obj and copy == obj
+        assert hash(copy) == hash(obj)
+        assert len({obj, copy}) == 1
+
+    @pytest.mark.parametrize("protocol",
+                             range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_parsed_system_survives_pickling(self, gp_system, protocol):
+        copy = pickle.loads(pickle.dumps(gp_system, protocol))
+        assert copy is not gp_system and copy == gp_system
+        assert (cc.report_to_json(cc.evaluate(cc.derive(copy)))
+                == cc.report_to_json(cc.evaluate(cc.derive(gp_system))))
 
 
 class TestLibraryValidators:
@@ -161,6 +209,39 @@ class TestChipValidation:
         parent = chip(children=(inner,), test_assembly="t")
         with pytest.raises(cc.ValidationError, match="more than once"):
             cc.validate_system(parent, (), lib())
+
+    def test_a_leaf_apart_from_a_passed_one_in_a_bad_field_is_named(self):
+        # the checks of "a" pass; "b" is equal to it but for its name and
+        # its quantity
+        good = chip(name="a", assembly_process=None)
+        bad = dataclasses.replace(good, name="b", quantity=0)
+        parent = chip(children=(good, bad), test_assembly="t")
+        with pytest.raises(cc.ValidationError, match="quantity") as err:
+            cc.validate_system(parent, (), lib())
+        assert err.value.context == "chip 'b'"
+
+    def test_equal_leaves_sharing_a_name_are_repeated(self):
+        leaf = chip(name="x", assembly_process=None)
+        parent = chip(children=(leaf, dataclasses.replace(leaf)),
+                      test_assembly="t")
+        with pytest.raises(cc.ValidationError,
+                           match="'x' appears more than once"):
+            cc.validate_system(parent, (), lib())
+
+    @pytest.mark.parametrize("field", [name for name, _, _
+                                       in _field_checks(cc.ChipSpec)])
+    def test_a_leaf_with_a_nan_field_is_checked_in_full(self, field,
+                                                        checked_chips):
+        # NaN fails every range rule, so the NaN leaf "b" is checked
+        # though a leaf equal to it in every other field passed, and no
+        # NaN leaf is ever kept as one that passed
+        good = chip(name="a", assembly_process=None)
+        bad = dataclasses.replace(good, name="b", **{field: float("nan")})
+        parent = chip(children=(good, bad), test_assembly="t")
+        with pytest.raises(cc.ValidationError, match=field) as err:
+            cc.validate_system(parent, (), lib())
+        assert err.value.context == "chip 'b'"
+        assert checked_chips == ["die", "a", "b"]
 
     def test_zero_quantity_rejected(self):
         with pytest.raises(cc.ValidationError, match="quantity"):
