@@ -3,6 +3,10 @@
 Output is byte-deterministic for identical inputs: keys are sorted,
 floats go through repr (JSON) or 9 significant digits (CSV), and
 infinite costs are tagged rather than emitted as non-standard JSON.
+Nodes whose figures are the very same objects (a copied tile and its
+twin) share one encoded record and one set of CSV cells, and json's C
+encoder writes the head as well as the records, with the two nested
+values and the node list spliced in where the head holds [].
 """
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ import csv
 import io
 import json
 import math
+from operator import is_
 
 from .engine import CostReport, NodeCosts
 
@@ -22,50 +27,115 @@ def _num(value: float):
 
 # NodeCosts fields as JSON keys, in key order: the unit goes into two of
 # the names, and children are listed flat in "nodes" instead of nested.
-_NODE_KEYS = sorted(
+# "name" and "path", the only str fields, sort between "infeasible" and
+# "power_w", so a record without them is written once and each node's
+# text is spliced from it around its own two strings.
+_FIGURES = sorted(
     ({"area": "area_mm2", "power": "power_w"}.get(name, name), name,
-     name not in ("name", "path", "infeasible"))
-    for name in NodeCosts._fields if name != "children")
-# Without indent, json writes each flat record through its C encoder.
+     name != "infeasible")
+    for name in NodeCosts._fields
+    if name not in ("name", "path", "children"))
+# Without indent, json writes through its C encoder: separators carry
+# the indents of json.dumps(indent=2) at each depth.
 _RECORDS = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False)
+_NESTED = json.JSONEncoder(separators=(",\n    ", ": "), sort_keys=True,
+                           allow_nan=False)
+_HEAD = json.JSONEncoder(separators=(",\n  ", ": "), sort_keys=True,
+                         allow_nan=False)
+_str = json.encoder.encode_basestring_ascii
+
+
+def _distinct_records(nodes) -> tuple[list[NodeCosts], list[int]]:
+    """The nodes with distinct figures, first of each, and for each node
+    the index of its own among them: a node whose figures n[2:-1] are the
+    very objects of those of the last one kept under the same cost_re
+    shares its record. Identity, never equality: 0.0 == -0.0, and
+    records that differ elsewhere can share one infinite cost_re."""
+    firsts, index, kept = [], [], {}
+    for n in nodes:
+        i = kept.get(id(n.cost_re))
+        if i is None or not all(map(is_, n[2:-1], firsts[i][2:-1])):
+            i = kept[id(n.cost_re)] = len(firsts)
+            firsts.append(n)
+        index.append(i)
+    return firsts, index
+
+
+def _nested(value) -> str:
+    """A dict or list as json.dumps(indent=2) writes it one level down."""
+    text = _NESTED.encode(value)
+    return f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}" if value else text
 
 
 def report_to_json(report: CostReport) -> str:
     """The report as json.dumps(indent=2, sort_keys=True) writes it."""
-    head = json.dumps({
+    # the three values written apart go where the head holds []: no
+    # other value of the head is a list
+    a, b, c, d = _HEAD.encode({
         "schema_version": SCHEMA_VERSION,
         "cost_total": _num(report.cost_total),
         "cost_re": _num(report.cost_re),
         "cost_nre": _num(report.cost_nre),
-        "breakdown": {k: _num(v) for k, v in report.breakdown.items()},
+        "breakdown": [],
         "yield_chip": _num(report.root.yield_chip),
         "quality_shipped": _num(report.root.quality_shipped),
         "area_mm2": _num(report.root.area),
         "power_w": _num(report.root.power),
         "infeasible": report.infeasible,
-        "infeasible_paths": list(report.infeasible_paths),
-        "nodes": None,
-    }, indent=2, sort_keys=True, allow_nan=False)
+        "infeasible_paths": [],
+        "nodes": [],
+    })[1:-1].split("[]")
+    nodes = report.nodes
+    firsts, index = _distinct_records(nodes)
+    # one C-encoder call writes every distinct record; records hold no
+    # str, so each one's braces and "power_w" key are found by text alone
     records = _RECORDS.encode([
         {key: _num(getattr(n, name)) if is_float else getattr(n, name)
-         for key, name, is_float in _NODE_KEYS} for n in report.nodes])
-    # an encoded string holds no raw newline: "},\n      {" ends a record
-    nodes = records[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    before, after = head.split('\n  "nodes": null')
-    return (f'{before}\n  "nodes": [\n    {{\n      {nodes}\n    }}\n  ]'
-            f'{after}\n')
+         for key, name, is_float in _FIGURES} for n in firsts])
+    parts = []
+    end = 0
+    for _ in firsts:
+        start = records.index("{", end) + 1
+        cut = records.index('"power_w"', start)
+        end = records.index("}", cut)
+        parts.append((f'{{\n      {records[start:cut]}"name": ',
+                      f',\n      {records[cut:end]}\n    }}'))
+    breakdown = {k: _num(v) for k, v in report.breakdown.items()}
+    out = [f"{{\n  {a}{_nested(breakdown)}{b}"
+           f"{_nested(list(report.infeasible_paths))}{c}[\n    "]
+    for n, i in zip(nodes, index):
+        pre, post = parts[i]
+        out += (pre, _str(n.name), ',\n      "path": ', _str(n.path), post,
+                ",\n    ")
+    out[-1] = f"\n  ]{d}\n}}\n"     # the last node closes the list
+    return "".join(out)
+
+
+def _category_costs(n: NodeCosts, f) -> tuple:
+    """f of n's own cost in each breakdown category, in row order."""
+    return (f(n.cost_die), f(n.cost_assembly),
+            f(n.cost_test_self + n.cost_test_assembly), f(n.cost_scrap),
+            f(n.cost_nre_self))
+
+
+def _category_rows(nodes, index, figures) -> list[tuple]:
+    """(node path, category, figure) rows, five per node: node k's
+    figures are figures[index[k]], in _category_costs order."""
+    rows = []
+    for n, i in zip(nodes, index):
+        path = n.path
+        silicon, assembly, test, scrap, nre = figures[i]
+        rows += ((path, "silicon", silicon), (path, "assembly", assembly),
+                 (path, "test", test), (path, "scrap", scrap),
+                 (path, "nre", nre))
+    return rows
 
 
 def breakdown_rows(report: CostReport) -> list[tuple[str, str, float]]:
     """(node path, category, USD) rows whose values sum to the total."""
-    rows = []
-    for n in report.nodes:
-        rows.append((n.path, "silicon", n.cost_die))
-        rows.append((n.path, "assembly", n.cost_assembly))
-        rows.append((n.path, "test", n.cost_test_self + n.cost_test_assembly))
-        rows.append((n.path, "scrap", n.cost_scrap))
-        rows.append((n.path, "nre", n.cost_nre_self))
-    return rows
+    nodes = report.nodes
+    return _category_rows(nodes, range(len(nodes)),
+                          [_category_costs(n, float) for n in nodes])
 
 
 def format_value(value: float) -> str:
@@ -90,7 +160,9 @@ def csv_text(kind: str, header: list[str], rows) -> str:
 
 
 def report_to_csv(report: CostReport) -> str:
-    rows = [[path, category, format_value(value)]
-            for path, category, value in breakdown_rows(report)]
-    rows.append(["TOTAL", "total", format_value(report.cost_total)])
+    nodes = report.nodes
+    firsts, index = _distinct_records(nodes)
+    rows = _category_rows(nodes, index,
+                          [_category_costs(n, format_value) for n in firsts])
+    rows.append(("TOTAL", "total", format_value(report.cost_total)))
     return csv_text("report", ["node", "category", "cost_usd"], rows)

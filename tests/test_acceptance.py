@@ -529,6 +529,40 @@ def test_evaluate_costs_each_distinct_tile_once(gp_system, monkeypatch):
         die_costs(make_system(seed), seed)
 
 
+def test_json_report_encodes_each_distinct_record_once(gp_system,
+                                                       monkeypatch):
+    # a copied tile shares every figure object with its twin, so the
+    # JSON writer hands json's C encoder the root and one record per
+    # tile class at any n >= 16; a tree without twins gets one per node
+    module = importlib.import_module("chipcost.report")
+    records = module._RECORDS
+    handed = 0
+
+    class Counted:
+        def encode(self, distinct):
+            nonlocal handed
+            handed += len(distinct)
+            return records.encode(distinct)
+
+    def encoded(system):
+        # records of one report, whose bytes must be the oracle's
+        nonlocal handed
+        report = cc.evaluate(cc.derive(system))
+        handed = 0
+        text = cc.report_to_json(report)
+        made = handed
+        assert text == cc.report_to_json(evaluate_in_full(system))
+        return made, len(report.nodes)
+
+    monkeypatch.setattr(module, "_RECORDS", Counted())
+    for n in (1, 16, 64, 256, 1024):
+        made, _ = encoded(split_tiles(gp_system, n))
+        assert made == 2 if n == 1 else made <= 4, (n, made)
+    for seed in range(50):
+        made, nodes = encoded(make_system(seed))
+        assert made == nodes, seed
+
+
 def test_json_report_makes_few_python_calls_per_node(gp_system):
     # json.dumps(indent=2) runs json's pure-Python encoder: about 411
     # Python-level calls per node at 1024 tiles; node records written by

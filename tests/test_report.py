@@ -1,6 +1,7 @@
-"""The eval JSON bytes: `report_to_json` writes the node records through
-json's C encoder and must give exactly what json.dumps(indent=2) of the
-plain report dict (`oracles.report_dict`) gives."""
+"""The eval JSON bytes: `report_to_json` writes each distinct node record
+through json's C encoder and must give exactly what json.dumps(indent=2)
+of the plain report dict (`oracles.report_dict`) gives. The CSV is held
+to rows formatted node by node."""
 
 import dataclasses
 import json
@@ -9,13 +10,18 @@ from pathlib import Path
 import pytest
 
 import chipcost as cc
+from chipcost.engine import INF, CostReport, NodeCosts
+from chipcost.report import csv_text, format_value
 from conftest import config_path, data_path, split_tiles
 from gensys import make_system
 from oracles import report_dict
 
-# quotes, backslashes, non-ASCII, control characters, a record boundary
-# and the spliced key, each as a whole chip name
-HOSTILE = ('"', "\\", "ü", "\t", "},\n      {", '"nodes": null')
+# quotes, backslashes, non-ASCII, control characters, a record boundary,
+# the head's placeholders (now and as they were) and the key a record is
+# cut at, each as a whole chip name
+HOSTILE = ('"', "\\", "ü", "\t", "},\n      {", '"nodes": null',
+           '"breakdown": null', '"infeasible_paths": null', "[]",
+           '"power_w"', ',\n      "power_w": ')
 
 
 def reference(report) -> str:
@@ -49,9 +55,25 @@ def doomed(library):
                         for k, v in library.test_processes.items()})
 
 
+def csv_reference(report) -> str:
+    rows = [[n.path, category, format_value(value)]
+            for n in report.nodes
+            for category, value in (
+                ("silicon", n.cost_die), ("assembly", n.cost_assembly),
+                ("test", n.cost_test_self + n.cost_test_assembly),
+                ("scrap", n.cost_scrap), ("nre", n.cost_nre_self))]
+    rows.append(["TOTAL", "total", format_value(report.cost_total)])
+    return csv_text("report", ["node", "category", "cost_usd"], rows)
+
+
+def assert_report_matches_reference(report):
+    assert cc.report_to_json(report) == reference(report)
+    assert cc.report_to_csv(report) == csv_reference(report)
+
+
 def assert_matches_reference(system):
     report = cc.evaluate(cc.derive(system))
-    assert cc.report_to_json(report) == reference(report)
+    assert_report_matches_reference(report)
     return report
 
 
@@ -93,3 +115,53 @@ def test_hostile_chip_names(gp_system, infeasible):
 @pytest.mark.parametrize("seed", range(0, 1000, 20))
 def test_generated_systems(seed):
     assert_matches_reference(make_system(seed))
+
+
+# Hand-made reports whose nodes share float objects: the writers reuse a
+# record only for a node whose every figure is the very same object.
+
+def hand_leaf(name: str, **figures) -> NodeCosts:
+    """A feasible leaf with fresh figures, then the given ones."""
+    leaf = NodeCosts(name, f"pkg/{name}", *(float(f"{i}.25") for i in
+                                             range(1, 20)), False, ())
+    return leaf._replace(**figures)
+
+
+def hand_report(*leaves: NodeCosts) -> CostReport:
+    root = hand_leaf("pkg")._replace(path="pkg", children=leaves)
+    bad = tuple(n.path for n in leaves if n.infeasible)
+    return CostReport(root=root, cost_total=9.5, cost_re=8.5, cost_nre=1.0,
+                      breakdown={"silicon": 1.0, "assembly": 2.0,
+                                 "test": 3.0, "scrap": 4.0, "nre": 5.0},
+                      infeasible=bool(bad), infeasible_paths=bad)
+
+
+def test_a_negative_zero_figure_makes_its_own_record():
+    a = hand_leaf("a", cost_assembly=0.0, cost_test_assembly=0.0)
+    b = a._replace(name="b", path="pkg/b", cost_assembly=-0.0)
+    assert a[2:-1] == b[2:-1] and a.cost_re is b.cost_re
+    report = hand_report(a, b)
+    assert_report_matches_reference(report)
+    assert '"cost_assembly": -0.0' in cc.report_to_json(report)
+    assert "pkg/b,assembly,-0\n" in cc.report_to_csv(report)
+
+
+def test_infeasible_leaves_sharing_an_infinite_cost_are_apart():
+    a = hand_leaf("a", cost_re=INF, cost_scrap=INF, yield_die=0.0,
+                  infeasible=True)
+    b = a._replace(name="b", path="pkg/b", yield_die=0.5, cost_die=7.5)
+    report = hand_report(a, b, a._replace(name="c", path="pkg/c"))
+    assert report.infeasible_paths == ("pkg/a", "pkg/b", "pkg/c")
+    assert_report_matches_reference(report)
+    assert '"yield_die": 0.5' in cc.report_to_json(report)
+
+
+def test_a_leaf_sharing_every_figure_keeps_its_own_name_and_path():
+    a = hand_leaf("a")
+    b = a._replace(name="b", path="pkg/other")
+    assert all(x is y for x, y in zip(a[2:], b[2:]))
+    report = hand_report(a, b, a._replace(name="c", path="pkg/c"))
+    assert_report_matches_reference(report)
+    text = cc.report_to_json(report)
+    assert '"name": "b",\n      "path": "pkg/other"' in text
+    assert text.count('"cost_die": 3.25') == 4
