@@ -1,8 +1,10 @@
 """Physical derivation: connectivity, power, pads, and area per chip.
 
-One pass over the netlist (tally_nets) resolves each net's instances,
-pads, bandwidth and link power and puts them on the chips it touches,
-summing the internal instances into per-IO-type matrices between chips.
+One pass over the netlist (tally_nets) puts each net's instances, pads
+and link power on the chips it touches, summing the internal instances
+into per-IO-type matrices between chips. A net's figures follow from
+its class (io type, bandwidth, count, utilization), so a run of nets of
+one class, as the mesh links of a split, works them out once.
 Each chip's IO cell area adds those summed instances first, then the
 external nets in net order.
 Power rolls up the tree, pad counts follow from connectivity plus power
@@ -96,9 +98,12 @@ def net_instances(net: NetSpec, io: IODefinition) -> int:
     """Instance count: explicit, or enough IO bandwidth for the request."""
     if net.count is not None:
         return net.count
-    ratio = _finite(net.bandwidth / io.bandwidth, "instance count",
-                   f"net '{net.source}' -> '{net.dest}'")
-    return int(math.ceil(ratio - _EPS))
+    ratio = net.bandwidth / io.bandwidth
+    # as _finite, with the net's name written only when it overflows
+    if ratio <= sys.float_info.max:
+        return int(math.ceil(ratio - _EPS))
+    raise ValidationError("instance count overflows",
+                          f"net '{net.source}' -> '{net.dest}'")
 
 
 @dataclass(frozen=True)
@@ -147,16 +152,26 @@ def tally_nets(root: ChipSpec, nets: tuple[NetSpec, ...],
     crossing: dict[str, dict[str, int]] = {name: {} for name in depth}
     matrices: dict[str, dict[tuple[str, str], int]] = {}
     outside = []        # (resolving chip, cell area) of each external net
+    # io, instances, pads and link power follow from a net's class, the
+    # fields they are worked out from: a run of nets of one class, as the
+    # links of a split, works them out once. Utilization 0.0 and -0.0 are
+    # one class, so a zero link power may keep the other sign; that adds
+    # nothing either way, as every power total starts at +0.0 and
+    # x + (+-0.0) == x bit for bit
+    last = None
 
     for net in nets:
-        io = library.ios[net.io_type]
-        inst = net_instances(net, io)
-        pads = inst * io.wires_per_instance
-        bandwidth = (net.bandwidth if net.bandwidth is not None
-                     else net.count * io.bandwidth)
-        # link power at each resolving terminal: pJ/bit times Gbit/s times
-        # utilization gives mW, converted to W
-        p = io.energy_per_bit * bandwidth * net.utilization * 1e-3
+        key = (net.io_type, net.bandwidth, net.count, net.utilization)
+        if key != last:
+            last = key
+            io = library.ios[net.io_type]
+            inst = net_instances(net, io)
+            pads = inst * io.wires_per_instance
+            bandwidth = (net.bandwidth if net.bandwidth is not None
+                         else net.count * io.bandwidth)
+            # link power at each resolving terminal: pJ/bit times Gbit/s
+            # times utilization gives mW, converted to W
+            p = io.energy_per_bit * bandwidth * net.utilization * 1e-3
         a, b = net.source, net.dest
         if a not in depth or b not in depth:
             r = a if a in depth else b

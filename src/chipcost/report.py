@@ -51,13 +51,15 @@ def _distinct_records(nodes) -> tuple[list[NodeCosts], list[int]]:
     very objects of those of the last one kept under the same cost_re
     shares its record. Identity, never equality: 0.0 == -0.0, and
     records that differ elsewhere can share one infinite cost_re."""
-    firsts, index, kept = [], [], {}
+    firsts, index = [], []
+    kept = {}       # id(cost_re) -> (index, figures) of the last one kept
     for n in nodes:
-        i = kept.get(id(n.cost_re))
-        if i is None or not all(map(is_, n[2:-1], firsts[i][2:-1])):
-            i = kept[id(n.cost_re)] = len(firsts)
+        figures = n[2:-1]
+        hit = kept.get(id(n.cost_re))
+        if hit is None or not all(map(is_, figures, hit[1])):
+            hit = kept[id(n.cost_re)] = (len(firsts), figures)
             firsts.append(n)
-        index.append(i)
+        index.append(hit[0])
     return firsts, index
 
 

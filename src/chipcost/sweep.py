@@ -289,9 +289,8 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
     its quantity. Refused, in this order: no template, a template with
     children, an unknown io type, a template that is the root."""
     m = math.isqrt(n)
-
-    def tile_name(r: int, c: int) -> str:
-        return f"{axis.chip}_{r}_{c}"
+    # tile (r, c) is names[r * m + c]
+    names = [f"{axis.chip}_{r}_{c}" for r in range(m) for c in range(m)]
 
     def share(value: float | None) -> float | None:
         return None if value is None else value / n
@@ -308,8 +307,7 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
             black_box_area=share(template.black_box_area),
             black_box_power=share(template.black_box_power),
             quantity=template.quantity * n))
-        return tuple(ChipSpec(tile_name(r, c), *rest)
-                     for r in range(m) for c in range(m))
+        return tuple(ChipSpec(name, *rest) for name in names)
 
     roots, hits = _rewrite(root, axis.chip, tiles)
     if hits == 0:
@@ -324,14 +322,16 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
     link_bw = axis.side_bandwidth / m
     new_nets = [x for x in nets
                 if x.source != axis.chip and x.dest != axis.chip]
-    links = (*((tile_name(r, c), tile_name(r, c + 1))
-               for r in range(m) for c in range(m - 1)),
-             *((tile_name(r, c), tile_name(r + 1, c))
-               for c in range(m) for r in range(m - 1)),
-             *((tile_name(r, c), f"{axis.external_prefix}_{side}{i}")
+    # links along each row, then down each column, then the edge stubs;
+    # k is a tile's index in names
+    links = (*((names[k], names[k + 1])
+               for r in range(m) for k in range(r * m, r * m + m - 1)),
+             *((names[k], names[k + m])
+               for c in range(m) for k in range(c, c + (m - 1) * m, m)),
+             *((names[k], f"{axis.external_prefix}_{side}{i}")
                for i in range(m)
-               for side, (r, c) in (("w", (i, 0)), ("e", (i, m - 1)),
-                                    ("n", (0, i)), ("s", (m - 1, i)))))
+               for side, k in (("w", i * m), ("e", i * m + m - 1),
+                               ("n", i), ("s", (m - 1) * m + i))))
     # source, dest, io_type, bandwidth, count, utilization
     new_nets.extend(NetSpec(src, dst, axis.io_type, link_bw, None,
                             axis.utilization)

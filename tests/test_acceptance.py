@@ -317,6 +317,25 @@ def test_validating_a_split_checks_the_root_and_one_tile(gp_system,
     assert checked_chips == ["substrate", "tile_0_0"]
 
 
+def test_validating_a_split_checks_one_net_in_full(gp_system, monkeypatch):
+    # the links of a split are one class (io type, bandwidth, count,
+    # utilization): once the first passes, each other one is checked only
+    # for its endpoints
+    from chipcost import model
+    check = model.check_fields
+    nets = []
+
+    def counted(obj, context):
+        if isinstance(obj, cc.NetSpec):
+            nets.append(context)
+        return check(obj, context)
+
+    monkeypatch.setattr(model, "check_fields", counted)
+    system = split_tiles(gp_system, 1024)
+    assert len(system.nets) == 2112
+    assert nets == ["net[0] tile_0_0->tile_0_1"]
+
+
 def test_library_sweeps_recost_only_the_subtrees_a_point_changed(
         gp_system, monkeypatch):
     base = split_tiles(gp_system, 16)

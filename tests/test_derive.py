@@ -173,6 +173,63 @@ class TestNetTally:
         assert tally_nets(root, nets, lib) == naive_net_tally(root, nets, lib)
 
 
+    # nets of one class (io type, bandwidth, count, utilization) share
+    # their figures; the sums and every dict's order must stay a net-by-
+    # net scan's
+    CLASSES = {
+        "internal_and_external": (
+            net("a", "b", bandwidth=8.0, utilization=0.5),
+            net("b", "host", bandwidth=8.0, utilization=0.5),
+            net("host", "c", bandwidth=8.0, utilization=0.5),
+            net("c", "a", bandwidth=8.0, utilization=0.5),
+            net("a", "b", bandwidth=8.0, utilization=0.5)),
+        "two_io_types_interleaved": (
+            net("a", "b", bandwidth=6.0), net("b", "c", "bidi", bandwidth=6.0),
+            net("c", "a", bandwidth=6.0), net("a", "host", "bidi",
+                                               bandwidth=6.0),
+            net("host", "b", bandwidth=6.0), net("c", "b", "bidi",
+                                                  bandwidth=6.0)),
+        "signed_zero_utilization": (
+            net("a", "b", count=2, utilization=0.0),
+            net("b", "c", count=2, utilization=-0.0),
+            net("c", "host", count=2, utilization=-0.0),
+            net("host", "a", count=2, utilization=0.0),
+            net("b", "a", bandwidth=4.0, utilization=-0.0),
+            net("c", "a", bandwidth=4.0, utilization=0.0)),
+        # each net of a class follows one apart from it in one field only
+        "apart_in_bandwidth": (net("a", "b", bandwidth=8.0),
+                               net("b", "c", bandwidth=12.0),
+                               net("c", "host", bandwidth=8.0)),
+        "apart_in_count": (net("a", "b", count=2), net("b", "c", count=3),
+                           net("c", "host", count=2)),
+        "apart_in_utilization": (
+            net("a", "b", bandwidth=8.0, utilization=0.5),
+            net("b", "c", bandwidth=8.0),
+            net("c", "host", bandwidth=8.0, utilization=0.5)),
+    }
+
+    @pytest.mark.parametrize("case", CLASSES)
+    def test_nets_of_one_class_match_per_chip_scans(self, case):
+        root = chip("pkg", chip("x", chip("a"), chip("b")), chip("c"))
+        lib = tiny_library(io4=IO4, bidi=BIDI)
+        got = tally_nets(root, self.CLASSES[case], lib)
+        want = naive_net_tally(root, self.CLASSES[case], lib)
+
+        def pinned(table):
+            # keys and values in order, floats by repr (their sign too)
+            return [(k, pinned(v) if isinstance(v, dict) else repr(v))
+                    for k, v in table.items()]
+
+        for field in dataclasses.fields(got):
+            g = pinned(getattr(got, field.name))
+            w = pinned(getattr(want, field.name))
+            if field.name != "matrices":
+                # the outer tables are keyed by chip, which the oracle
+                # lists in pre-order and the tally by depth
+                g, w = sorted(g), sorted(w)
+            assert g == w, field.name
+
+
 class TestStackArea:
     def leaf(self, area, buried=False):
         spec = cc.ChipSpec(name=f"leaf{area}", core_area=area,

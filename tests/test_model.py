@@ -293,3 +293,63 @@ class TestNetValidation:
                          bandwidth=1.0, utilization=1.5)
         with pytest.raises(cc.ValidationError, match="utilization"):
             cc.validate_system(chip(), (net,), lib())
+
+    # nets of one class (io type, bandwidth, count, utilization) run their
+    # class checks once; each of these nets follows two of a class that
+    # passed, and must be named as a lone net would be
+    PASSING = cc.NetSpec(source="die", dest="x0", io_type="io",
+                         bandwidth=1.0, utilization=0.5)
+
+    def passed_then(self, net):
+        return (self.PASSING, dataclasses.replace(self.PASSING, dest="x1"),
+                net)
+
+    @pytest.mark.parametrize("source, dest, message", [
+        ("die", "die", "net[2] die->die: source and dest must differ"),
+        ("a", "b", "net[2] a->b: neither endpoint names a chip in the tree"),
+    ])
+    def test_bad_endpoints_of_a_passed_class_are_named(self, source, dest,
+                                                        message):
+        nets = self.passed_then(dataclasses.replace(
+            self.PASSING, source=source, dest=dest))
+        with pytest.raises(cc.ValidationError) as err:
+            cc.validate_system(chip(), nets, lib())
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("io_type", "nope", "unknown io type 'nope'"),
+        ("bandwidth", -1.0, "bandwidth must be > 0, got -1.0"),
+        ("bandwidth", None, "exactly one of bandwidth or count is required"),
+        ("count", 2, "exactly one of bandwidth or count is required"),
+        ("utilization", 1.5, "utilization must be [0, 1], got 1.5"),
+        ("utilization", float("nan"), "utilization must be [0, 1], got nan"),
+    ])
+    def test_a_net_apart_from_a_passed_class_in_one_field_is_named(
+            self, field, value, message):
+        nets = self.passed_then(dataclasses.replace(
+            self.PASSING, dest="x2", **{field: value}))
+        with pytest.raises(cc.ValidationError) as err:
+            cc.validate_system(chip(), nets, lib())
+        assert str(err.value) == f"net[2] die->x2: {message}"
+
+    def test_class_checks_run_once_per_run_of_a_class(self, monkeypatch):
+        # a, a, b, a, then utilization -0.0 and 0.0: the third "a" net
+        # follows a net of another class, and the zeros are one class
+        check = model.check_fields
+        checked = []
+
+        def counted(obj, context):
+            checked.append(context)
+            return check(obj, context)
+
+        monkeypatch.setattr(model, "check_fields", counted)
+        a = cc.NetSpec(source="die", dest="x", io_type="io", bandwidth=1.0)
+        b = dataclasses.replace(a, utilization=0.5)
+        nets = (a, dataclasses.replace(a, dest="y"), b,
+                dataclasses.replace(a, dest="z"),
+                dataclasses.replace(a, dest="w", utilization=-0.0),
+                dataclasses.replace(a, dest="v", utilization=0.0))
+        cc.validate_system(chip(), nets, lib())
+        assert [c for c in checked if c.startswith("net")] == [
+            "net[0] die->x", "net[2] die->x", "net[3] die->z",
+            "net[4] die->w"]

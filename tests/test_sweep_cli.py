@@ -178,6 +178,45 @@ class TestApplySplit:
         assert len(links) == 2 * 3 * 2 + 4 * 3
         assert all(x.bandwidth == pytest.approx(1024.0 / 3) for x in links)
 
+    # (n, tile names in tree order, (source, dest) of each net in order):
+    # row links, then column links, then the edge stubs west, east,
+    # north and south of each row or column index
+    LAYOUTS = (
+        (1, ["tile_0_0"],
+         [("tile_0_0", "edge_w0"), ("tile_0_0", "edge_e0"),
+          ("tile_0_0", "edge_n0"), ("tile_0_0", "edge_s0")]),
+        (4, ["tile_0_0", "tile_0_1", "tile_1_0", "tile_1_1"],
+         [("tile_0_0", "tile_0_1"), ("tile_1_0", "tile_1_1"),
+          ("tile_0_0", "tile_1_0"), ("tile_0_1", "tile_1_1"),
+          ("tile_0_0", "edge_w0"), ("tile_0_1", "edge_e0"),
+          ("tile_0_0", "edge_n0"), ("tile_1_0", "edge_s0"),
+          ("tile_1_0", "edge_w1"), ("tile_1_1", "edge_e1"),
+          ("tile_0_1", "edge_n1"), ("tile_1_1", "edge_s1")]),
+        (9, ["tile_0_0", "tile_0_1", "tile_0_2", "tile_1_0", "tile_1_1",
+             "tile_1_2", "tile_2_0", "tile_2_1", "tile_2_2"],
+         [("tile_0_0", "tile_0_1"), ("tile_0_1", "tile_0_2"),
+          ("tile_1_0", "tile_1_1"), ("tile_1_1", "tile_1_2"),
+          ("tile_2_0", "tile_2_1"), ("tile_2_1", "tile_2_2"),
+          ("tile_0_0", "tile_1_0"), ("tile_1_0", "tile_2_0"),
+          ("tile_0_1", "tile_1_1"), ("tile_1_1", "tile_2_1"),
+          ("tile_0_2", "tile_1_2"), ("tile_1_2", "tile_2_2"),
+          ("tile_0_0", "edge_w0"), ("tile_0_2", "edge_e0"),
+          ("tile_0_0", "edge_n0"), ("tile_2_0", "edge_s0"),
+          ("tile_1_0", "edge_w1"), ("tile_1_2", "edge_e1"),
+          ("tile_0_1", "edge_n1"), ("tile_2_1", "edge_s1"),
+          ("tile_2_0", "edge_w2"), ("tile_2_2", "edge_e2"),
+          ("tile_0_2", "edge_n2"), ("tile_2_2", "edge_s2")]),
+    )
+
+    @pytest.mark.parametrize("n, names, links", LAYOUTS)
+    def test_tile_names_and_net_order_are_pinned(self, gp_system, n, names,
+                                                 links):
+        _, root, nets = self.split(gp_system, n)
+        assert [c.name for c in root.children] == names
+        # graph_processor's own nets all touch the template, so every net
+        # left is a link of the mesh
+        assert [(x.source, x.dest) for x in nets] == links
+
     def test_a_black_box_is_shared_among_the_tiles(self, gp_system):
         root = dataclasses.replace(gp_system.root, children=tuple(
             dataclasses.replace(c, black_box_area=800.0,
