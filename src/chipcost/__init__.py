@@ -9,7 +9,7 @@ from .errors import (ConfigError, DuplicateNameError, ValidationError,
 from .model import (AssemblyProcessDef, ChipSpec, IODefinition, LayerDef,
                     Library, NetSpec, TestProcessDef, ValidatedSystem,
                     WaferProcessDef, validate_system)
-from .report import breakdown_rows, report_to_csv, report_to_json
+from .report import report_to_csv, report_to_json
 from .sweep import (SweepPlan, parse_sweep, run_sweep, sweep_columns,
                     sweep_to_csv)
 from .wafer import (ReticleFit, dies_per_wafer, free_packing, grid_packing,
@@ -25,8 +25,8 @@ __all__ = [
     "IODefinition", "LayerDef", "Library", "NetSpec", "NodeCosts",
     "ReticleFit", "SweepPlan", "TestProcessDef",
     "ValidatedSystem", "ValidationError", "WaferProcessDef", "XmlError",
-    "assembly_cost", "assembly_yield", "breakdown_rows", "defect_yield",
-    "derive", "dies_per_wafer", "evaluate", "free_packing", "grid_packing",
+    "assembly_cost", "assembly_yield", "defect_yield", "derive",
+    "dies_per_wafer", "evaluate", "free_packing", "grid_packing",
     "layer_cost", "nre_cost_self",
     "parse_library", "parse_netlist", "parse_sweep", "parse_system",
     "quality", "report_to_csv", "report_to_json", "reticle_fit", "run_sweep",

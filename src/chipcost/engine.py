@@ -27,6 +27,9 @@ name), so no output changes.
 evaluate's memo keeps, per node, its last costs and the library entries
 its subtree and its own die read: a sweep point re-costs only the nodes,
 and re-figures only the dies, that read an entry the point moved.
+
+The one walk of the costed tree is evaluate's pre-order fold of the
+breakdown, which also lists the nodes in the report for the writers.
 """
 from __future__ import annotations
 
@@ -171,17 +174,17 @@ class NodeCosts(namedtuple("NodeCosts", (
 
 @dataclass(frozen=True)
 class CostReport:
+    """A costed tree: its root, every node in pre-order (as root.walk()
+    yields them, listed by evaluate's breakdown walk), the totals and the
+    category breakdown, and the paths of the deepest infeasible nodes."""
     root: NodeCosts
+    nodes: tuple[NodeCosts, ...]
     cost_total: float
     cost_re: float
     cost_nre: float
     breakdown: dict[str, float]
     infeasible: bool
     infeasible_paths: tuple[str, ...]
-
-    @property
-    def nodes(self) -> tuple[NodeCosts, ...]:
-        return tuple(self.root.walk())
 
 
 def _entries_read(chip: DerivedChip, memo: dict) -> tuple:
@@ -313,7 +316,8 @@ def evaluate(ds: DerivedSystem, *, memo: dict | None = None,
     `moved` entries returns its costs without recursing; one whose die
     reads none keeps its die figures (cost_die to cost_nre_self). A leaf
     and the copies naming it as their twin are costed once per call. The
-    breakdown still walks every node, so the sums keep their bits.
+    breakdown still walks every node, so the sums keep their bits, and
+    that walk lists the report's nodes.
     """
     last = memo.get(id(ds.root)) if memo is not None else None
     root = (last[2] if last is not None and last[0].isdisjoint(moved)
@@ -324,9 +328,11 @@ def evaluate(ds: DerivedSystem, *, memo: dict | None = None,
     test = 0.0
     scrap = 0.0
     bad_paths = []
+    nodes = []
     stack = [root]      # pre-order: a node, then its children in order
     while stack:
         n = stack.pop()
+        nodes.append(n)
         stack.extend(reversed(n.children))
         silicon += n.cost_die
         assembly += n.cost_assembly
@@ -342,7 +348,7 @@ def evaluate(ds: DerivedSystem, *, memo: dict | None = None,
         "scrap": scrap,
         "nre": root.cost_nre,
     }
-    return CostReport(root=root, cost_total=total, cost_re=root.cost_re,
-                      cost_nre=root.cost_nre, breakdown=breakdown,
-                      infeasible=root.infeasible,
+    return CostReport(root=root, nodes=tuple(nodes), cost_total=total,
+                      cost_re=root.cost_re, cost_nre=root.cost_nre,
+                      breakdown=breakdown, infeasible=root.infeasible,
                       infeasible_paths=tuple(sorted(bad_paths)))

@@ -1,4 +1,5 @@
-"""Report serialization: canonical JSON and delimited breakdown rows.
+"""Report serialization: canonical JSON and CSV breakdown rows, both
+over the report's node list, so neither walks the tree.
 
 Output is byte-deterministic for identical inputs: keys are sorted,
 floats go through repr (JSON) or 9 significant digits (CSV), and
@@ -113,33 +114,6 @@ def report_to_json(report: CostReport) -> str:
     return "".join(out)
 
 
-def _category_costs(n: NodeCosts, f) -> tuple:
-    """f of n's own cost in each breakdown category, in row order."""
-    return (f(n.cost_die), f(n.cost_assembly),
-            f(n.cost_test_self + n.cost_test_assembly), f(n.cost_scrap),
-            f(n.cost_nre_self))
-
-
-def _category_rows(nodes, index, figures) -> list[tuple]:
-    """(node path, category, figure) rows, five per node: node k's
-    figures are figures[index[k]], in _category_costs order."""
-    rows = []
-    for n, i in zip(nodes, index):
-        path = n.path
-        silicon, assembly, test, scrap, nre = figures[i]
-        rows += ((path, "silicon", silicon), (path, "assembly", assembly),
-                 (path, "test", test), (path, "scrap", scrap),
-                 (path, "nre", nre))
-    return rows
-
-
-def breakdown_rows(report: CostReport) -> list[tuple[str, str, float]]:
-    """(node path, category, USD) rows whose values sum to the total."""
-    nodes = report.nodes
-    return _category_rows(nodes, range(len(nodes)),
-                          [_category_costs(n, float) for n in nodes])
-
-
 def format_value(value: float) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -162,9 +136,20 @@ def csv_text(kind: str, header: list[str], rows) -> str:
 
 
 def report_to_csv(report: CostReport) -> str:
+    """(node path, category, USD) rows, five per node in pre-order, whose
+    values sum to the total; then the TOTAL row."""
     nodes = report.nodes
     firsts, index = _distinct_records(nodes)
-    rows = _category_rows(nodes, index,
-                          [_category_costs(n, format_value) for n in firsts])
+    cells = [(format_value(n.cost_die), format_value(n.cost_assembly),
+              format_value(n.cost_test_self + n.cost_test_assembly),
+              format_value(n.cost_scrap), format_value(n.cost_nre_self))
+             for n in firsts]
+    rows = []
+    for n, i in zip(nodes, index):
+        path = n.path
+        silicon, assembly, test, scrap, nre = cells[i]
+        rows += ((path, "silicon", silicon), (path, "assembly", assembly),
+                 (path, "test", test), (path, "scrap", scrap),
+                 (path, "nre", nre))
     rows.append(("TOTAL", "total", format_value(report.cost_total)))
     return csv_text("report", ["node", "category", "cost_usd"], rows)

@@ -13,6 +13,7 @@ import random
 import chipcost as cc
 from chipcost.derive import derive
 from chipcost.engine import evaluate
+from chipcost.report import format_value
 
 REL = 1e-9
 
@@ -21,6 +22,17 @@ def _fracs(rng):
     a, b, c = (rng.uniform(0.1, 1.0) for _ in range(3))
     s = a + b + c
     return a / s, b / s, c / s
+
+
+def make_layer(rng: random.Random, name: str) -> cc.LayerDef:
+    return cc.LayerDef(
+        name=name, cost_per_mm2=rng.uniform(0.01, 0.5),
+        defect_density=rng.uniform(0.0, 0.03),
+        clustering_factor=rng.uniform(0.5, 5.0),
+        critical_area_fraction=rng.uniform(0.1, 1.0),
+        litho_fraction=rng.uniform(0.0, 0.5),
+        mask_cost=rng.uniform(1e5, 1e7),
+        stitch_yield=rng.uniform(0.95, 1.0))
 
 
 def make_library(rng: random.Random) -> cc.Library:
@@ -34,16 +46,7 @@ def make_library(rng: random.Random) -> cc.Library:
             bandwidth=rng.uniform(4.0, 32.0), reach=rng.uniform(1.0, 4.0),
             wires_per_instance=rng.randint(1, 8),
             energy_per_bit=rng.uniform(0.1, 2.0), bidirectional=bidi)
-    layers = {
-        name: cc.LayerDef(
-            name=name, cost_per_mm2=rng.uniform(0.01, 0.5),
-            defect_density=rng.uniform(0.0, 0.03),
-            clustering_factor=rng.uniform(0.5, 5.0),
-            critical_area_fraction=rng.uniform(0.1, 1.0),
-            litho_fraction=rng.uniform(0.0, 0.5),
-            mask_cost=rng.uniform(1e5, 1e7),
-            stitch_yield=rng.uniform(0.95, 1.0))
-        for name in ("l0", "l1")}
+    layers = {name: make_layer(rng, name) for name in ("l0", "l1")}
     wafer = cc.WaferProcessDef(
         name="w", wafer_diameter=300.0, edge_exclusion=3.0,
         scribe_x=rng.uniform(0.05, 0.2), scribe_y=rng.uniform(0.05, 0.2),
@@ -185,6 +188,27 @@ def make_twins(seed: int) -> cc.ValidatedSystem:
                               system.library)
 
 
+def make_layers(seed: int) -> cc.ValidatedSystem:
+    """make_system(seed) on up to four layers: two more layers, l2 and l3,
+    drawn from make_library's ranges, and each chip on 1-4 distinct
+    layers in a drawn order, pre-order chip by chip. make_system's own
+    draws are untouched, so its systems stay as they are."""
+    system = make_system(seed)
+    rng = random.Random(f"layers{seed}")
+    layers = dict(system.library.layers)
+    for name in ("l2", "l3"):
+        layers[name] = make_layer(rng, name)
+
+    def restack(chip):
+        on = tuple(rng.sample(sorted(layers), rng.randint(1, 4)))
+        return dataclasses.replace(chip, layers=on, children=tuple(
+            map(restack, chip.children)))
+
+    root = restack(system.root)
+    lib = dataclasses.replace(system.library, layers=layers)
+    return cc.validate_system(root, system.nets, lib)
+
+
 def scale_defects(system: cc.ValidatedSystem,
                   factor: float) -> cc.ValidatedSystem:
     layers = {k: dataclasses.replace(v,
@@ -232,6 +256,15 @@ def check_invariants(system: cc.ValidatedSystem) -> None:
     if not rep.infeasible:
         total = sum(rep.breakdown.values())
         assert abs(total - rep.cost_total) <= REL * abs(rep.cost_total)
+        # the report_to_csv rows, five per node, sum to the TOTAL it writes
+        rows = math.fsum(
+            v for n in rep.nodes for v in (
+                n.cost_die, n.cost_assembly,
+                n.cost_test_self + n.cost_test_assembly, n.cost_scrap,
+                n.cost_nre_self))
+        assert abs(rows - rep.cost_total) <= REL * abs(rep.cost_total)
+        assert (cc.report_to_csv(rep).splitlines()[-1]
+                == f"TOTAL,total,{format_value(rep.cost_total)}")
     else:
         assert rep.infeasible_paths
 

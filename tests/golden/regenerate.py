@@ -9,7 +9,10 @@ compares the result with `digests.json`. The outputs covered:
   each study as parsed;
 - one digest over the JSON and CSV reports of `gensys.make_system(0..999)`,
   and one over the serialized library, system and netlist of the same
-  systems (every model field, at non-default values).
+  systems (every model field, at non-default values);
+- one digest over the JSON and CSV reports of `gensys.make_layers(0..199)`,
+  whose chips sit on up to four layers, so a change in how a per-layer
+  total adds shows.
 
 A deliberate change of numbers or formats regenerates the file:
 
@@ -37,13 +40,14 @@ CONFIGS = os.path.join(os.path.dirname(TESTS), "configs")
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 DIGESTS = os.path.join(HERE, "digests.json")
 GENSYS_SEEDS = range(1000)
+LAYERS_SEEDS = range(200)
 
 for path in (SRC, TESTS):
     if path not in sys.path:
         sys.path.insert(0, path)
 
 import chipcost as cc  # noqa: E402
-from gensys import make_system  # noqa: E402
+from gensys import make_layers, make_system  # noqa: E402
 
 
 def _sha(*texts: str) -> str:
@@ -80,19 +84,32 @@ def study_digests(study: str) -> dict[str, str]:
     return out
 
 
+def _add_reports(h, system: cc.ValidatedSystem) -> None:
+    report = cc.evaluate(cc.derive(system))
+    for text in (cc.report_to_json(report), cc.report_to_csv(report)):
+        h.update(text.encode("utf-8"))
+
+
+def _span(seeds: range) -> str:
+    return f"{seeds.start}-{seeds.stop - 1}"
+
+
 def gensys_digests() -> dict[str, str]:
     reports = hashlib.sha256()
     serialized = hashlib.sha256()
     for seed in GENSYS_SEEDS:
         system = make_system(seed)
-        report = cc.evaluate(cc.derive(system))
-        for text in (cc.report_to_json(report), cc.report_to_csv(report)):
-            reports.update(text.encode("utf-8"))
+        _add_reports(reports, system)
         for text in _serialized(system):
             serialized.update(text.encode("utf-8"))
-    span = f"{GENSYS_SEEDS.start}-{GENSYS_SEEDS.stop - 1}"
+    layered = hashlib.sha256()
+    for seed in LAYERS_SEEDS:
+        _add_reports(layered, make_layers(seed))
+    span = _span(GENSYS_SEEDS)
     return {f"gensys/{span}/reports": reports.hexdigest(),
-            f"gensys/{span}/serialized": serialized.hexdigest()}
+            f"gensys/{span}/serialized": serialized.hexdigest(),
+            f"gensys-layers/{_span(LAYERS_SEEDS)}/reports":
+                layered.hexdigest()}
 
 
 def compute() -> dict[str, str]:

@@ -27,7 +27,7 @@ from chipcost.model import check_fields
 from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, apply_field, \
     apply_split
 from conftest import config_path, split_tiles
-from gensys import check_invariants, make_system
+from gensys import check_invariants, make_layers, make_system, make_twins
 from oracles import (derive_without_memo, derived_differences,
                      evaluate_in_full, grid_family_oracle, naive_sweep,
                      stitch_layout_edges)
@@ -181,7 +181,23 @@ def test_randomized_systems_hold_invariants():
     t0 = time.perf_counter()
     for seed in range(1000):
         check_invariants(make_system(seed))
+        check_invariants(make_twins(seed))
     assert time.perf_counter() - t0 < 120.0
+
+
+def test_layered_systems_hold_invariants_and_match_the_full_oracle():
+    for seed in range(200):
+        system = make_layers(seed)
+        check_invariants(system)
+        report, full = cc.evaluate(cc.derive(system)), evaluate_in_full(system)
+        assert cc.report_to_json(report) == cc.report_to_json(full), seed
+        assert cc.report_to_csv(report) == cc.report_to_csv(full), seed
+
+
+def test_layered_systems_put_a_chip_on_four_layers_every_20_seeds():
+    for first in range(0, 200, 20):
+        assert any(len(c.layers) == 4 for seed in range(first, first + 20)
+                   for c in make_layers(seed).root.walk()), first
 
 
 def test_evaluation_is_fast_enough_for_sweeps(gp_system, handcheck_system):

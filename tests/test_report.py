@@ -11,9 +11,10 @@ import pytest
 
 import chipcost as cc
 from chipcost.engine import INF, CostReport, NodeCosts
+from chipcost.model import Tree
 from chipcost.report import csv_text, format_value
 from conftest import config_path, data_path, split_tiles
-from gensys import make_system
+from gensys import make_system, make_twins
 from oracles import report_dict
 
 # quotes, backslashes, non-ASCII, control characters, a record boundary,
@@ -130,7 +131,8 @@ def hand_leaf(name: str, **figures) -> NodeCosts:
 def hand_report(*leaves: NodeCosts) -> CostReport:
     root = hand_leaf("pkg")._replace(path="pkg", children=leaves)
     bad = tuple(n.path for n in leaves if n.infeasible)
-    return CostReport(root=root, cost_total=9.5, cost_re=8.5, cost_nre=1.0,
+    return CostReport(root=root, nodes=tuple(root.walk()), cost_total=9.5,
+                      cost_re=8.5, cost_nre=1.0,
                       breakdown={"silicon": 1.0, "assembly": 2.0,
                                  "test": 3.0, "scrap": 4.0, "nre": 5.0},
                       infeasible=bool(bad), infeasible_paths=bad)
@@ -165,3 +167,49 @@ def test_a_leaf_sharing_every_figure_keeps_its_own_name_and_path():
     text = cc.report_to_json(report)
     assert '"name": "b",\n      "path": "pkg/other"' in text
     assert text.count('"cost_die": 3.25') == 4
+
+
+# The report's node list is the pre-order walk evaluate's breakdown fold
+# makes; the writers read it and never walk the tree again.
+
+def study(name: str) -> cc.ValidatedSystem:
+    library = cc.parse_library(config_path(name, "library.xml"))
+    return cc.parse_system(config_path(name, "system.xml"),
+                           config_path(name, "netlist.xml"), library)
+
+
+def assert_nodes_are_the_walk(system):
+    report = cc.evaluate(cc.derive(system))
+    assert report.nodes == tuple(report.root.walk())
+
+
+@pytest.mark.parametrize("name", ["coverage_study", "graph_processor"])
+def test_node_list_of_each_shipped_config(name):
+    assert_nodes_are_the_walk(study(name))
+
+
+@pytest.mark.parametrize("make", [make_system, make_twins])
+def test_node_list_of_generated_systems(make):
+    for seed in range(200):
+        assert_nodes_are_the_walk(make(seed))
+
+
+@pytest.mark.parametrize("n", [1, 16, 64, 256, 1024])
+def test_node_list_of_graph_processor_splits(gp_system, n):
+    assert_nodes_are_the_walk(split_tiles(gp_system, n))
+
+
+def test_writers_never_walk_the_costed_tree(gp_system, monkeypatch):
+    report = cc.evaluate(cc.derive(split_tiles(gp_system, 16)))
+    walk = Tree.walk
+    walked = []
+
+    def counted(self):
+        if isinstance(self, NodeCosts):
+            walked.append(self.path)
+        return walk(self)
+
+    monkeypatch.setattr(Tree, "walk", counted)
+    cc.report_to_json(report)
+    cc.report_to_csv(report)
+    assert walked == []
