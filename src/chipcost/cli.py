@@ -100,11 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_args(p_sweep)
     p_sweep.add_argument("--sweep", required=True, help="sweep definition XML")
     p_sweep.add_argument("--jobs", type=_jobs, default=1,
-                         help="processes to run the points in, forked, "
-                              "at most one per usable CPU; the output is "
-                              "byte-identical to --jobs 1. Runs serially "
-                              "without fork, on one CPU, or when the "
-                              "outermost visited axis has one value")
+                         help="processes to deal the outermost visited "
+                              "axis's values to, round-robin, forked, at "
+                              "most one per usable CPU and one per value; "
+                              "the output is byte-identical to --jobs 1. "
+                              "Forks nothing without fork or on one CPU")
     p_sweep.set_defaults(fn=_cmd_sweep)
     return parser
 

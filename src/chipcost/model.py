@@ -4,9 +4,10 @@ Every record here is a slotted dataclass that nothing assigns to after
 it is built; a test holds the package to that. They are not frozen: a
 frozen __init__ stores each field through object.__setattr__, several
 times slower, and a split builds thousands of records. Equal records
-hash equal. Parameter studies never mutate a model in place; they
-rebuild the changed pieces with dataclasses.replace, so no sweep point
-alters the inputs another point holds.
+of scalar and tuple fields hash equal; Library and ValidatedSystem hold
+dicts and do not hash. Parameter studies never mutate a model in
+place; they rebuild the changed pieces with dataclasses.replace, so no
+sweep point alters the inputs another point holds.
 
 Each dataclass is also the one record of its XML element: a field is an
 attribute of the same name and type, and its default is the attribute's
@@ -237,7 +238,7 @@ class ChipSpec(Tree):
     children: tuple[ChipSpec, ...] = field(default_factory=tuple)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class Library:
     """Name-keyed process definitions. Never altered after build: a
     study builds a new Library around the tables it changes."""
@@ -249,7 +250,7 @@ class Library:
     test_processes: dict[str, TestProcessDef]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class ValidatedSystem:
     """A chip tree plus netlist checked against a library."""
 

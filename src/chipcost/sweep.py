@@ -35,12 +35,10 @@ the nodes whose subtree reads an entry a re-applied axis names (see
 engine.evaluate), through a memo of its node costs kept when three or
 more points share the tree.
 
-Points run one after another unless run_sweep is given jobs > 1. Then
-the outermost visited axis is cut into contiguous index ranges of about
-equal work, one per process: this one and forked children, each walking
-its range as above. The rows are byte-identical to a serial run's. The
-sweep stays serial where os.fork is missing, on one usable CPU, in a
-process with other threads, or when that axis has one value.
+Points run in this process alone unless run_sweep is given jobs > 1:
+then the values of the outermost visited axis are dealt round-robin to
+forked processes, each walking its values as above (see run_sweep). The
+rows are byte-identical at every jobs.
 
 The split axis divides one template chip into an n = m x m mesh of equal
 chiplets. Every mesh link and every boundary stub carries the template's
@@ -59,7 +57,7 @@ from dataclasses import dataclass
 
 from .derive import derive
 from .engine import evaluate
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .model import (_LEAF_INPUTS, LIBRARY_KINDS, ChipSpec, Library,
                     NetSpec, ValidatedSystem, check_fields, derive_fields,
                     field_kinds, validate_library, validate_system)
@@ -287,7 +285,9 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
     """Replace the template chip with an m x m mesh of equal shares: each
     tile takes 1/n of its core and black-box area and power and n times
     its quantity. Refused, in this order: no template, a template with
-    children, an unknown io type, a template that is the root."""
+    children, an unknown io type, a template that is the root, an edge
+    stub named like another chip in the tree (a tile cannot be: its
+    name ends in digits, a stub's in a side letter and a digit)."""
     m = math.isqrt(n)
     # tile (r, c) is names[r * m + c]
     names = [f"{axis.chip}_{r}_{c}" for r in range(m) for c in range(m)]
@@ -318,6 +318,16 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
                               axis.context)
     if root.name == axis.chip:
         raise ValidationError("cannot split the root chip", axis.context)
+    # each edge stub, with the index in names of the tile it leaves
+    stubs = {f"{axis.external_prefix}_{side}{i}": k
+             for i in range(m)
+             for side, k in (("w", i * m), ("e", i * m + m - 1),
+                             ("n", i), ("s", (m - 1) * m + i))}
+    for chip in root.walk():
+        if chip.name in stubs and chip.name != axis.chip:
+            raise ValidationError(
+                f"external endpoint '{chip.name}' is a chip in the system",
+                axis.context)
 
     link_bw = axis.side_bandwidth / m
     new_nets = [x for x in nets
@@ -328,10 +338,7 @@ def apply_split(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
                for r in range(m) for k in range(r * m, r * m + m - 1)),
              *((names[k], names[k + m])
                for c in range(m) for k in range(c, c + (m - 1) * m, m)),
-             *((names[k], f"{axis.external_prefix}_{side}{i}")
-               for i in range(m)
-               for side, k in (("w", i * m), ("e", i * m + m - 1),
-                               ("n", i), ("s", (m - 1) * m + i))))
+             *((names[k], stub) for stub, k in stubs.items()))
     # source, dest, io_type, bandwidth, count, utilization
     new_nets.extend(NetSpec(src, dst, axis.io_type, link_bw, None,
                             axis.utilization)
@@ -353,19 +360,17 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
               jobs: int = 1) -> list[tuple]:
     """All rows of the cartesian product, each at its declaration-order
     position with its cells in declaration order, visited stage-major
-    as the module docstring describes. If that walk fails, the same walk
-    runs again in declaration order, so the error is the one the first
-    failing point in declaration order raises.
+    as the module docstring describes, in up to `jobs` processes.
 
-    With jobs > 1 the outermost visited axis is cut into w contiguous
-    index ranges of about equal work, w = min(jobs, usable CPUs, its
-    value count): a split count weighs its tile count, any other value
-    1. This process walks the first range and one forked process each
-    other one, and the rows, byte-identical to jobs=1, are put back by
-    position. The sweep runs serially when w < 2, where os.fork is
-    missing, and in a process with other threads (forking one can
-    deadlock). If any range fails, every result is dropped and the
-    serial walk runs, so a failing sweep raises what jobs=1 raises.
+    The n values of the outermost visited axis are dealt round-robin to
+    w = min(jobs, usable CPUs, n) processes: process k walks the value
+    indices range(k, n, w). This process is k = 0 and forks the others;
+    w is 1, and nothing is forked, where os.fork is missing and in a
+    process with other threads (forking one can deadlock). The rows are
+    put back by position and are byte-identical at every w. If any
+    process fails, every result is dropped and the product is walked
+    again here in declaration order, so the error is the one the first
+    failing point in declaration order raises.
     """
     if not plan.axes:
         raise ValidationError("sweep defines no axes", "sweep")
@@ -377,41 +382,31 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
                 f"more than {MAX_SWEEP_POINTS} points once axis "
                 f"'{axis.columns[0]}' joins the product", "sweep")
     order = sorted(range(len(plan.axes)), key=lambda k: plan.axes[k].stage)
-    if jobs > 1 and (rows := _fork_walk(base, plan, order, jobs)):
-        return rows
     try:
-        return _walk(base, plan, order)
-    except ConfigError:
-        if order == sorted(order):
-            raise
+        return _dealt_walk(base, plan, order, jobs)
+    except Exception:
+        pass    # the walk below raises the first failing point's error
     return _walk(base, plan, range(len(plan.axes)))
 
 
-def _fork_walk(base: ValidatedSystem, plan: SweepPlan, order: list[int],
-               jobs: int) -> list[tuple] | None:
-    """run_sweep's rows from w processes, as run_sweep describes; None
-    where the sweep runs serially or a range failed. Each child pickles
-    its rows into a pipe and leaves by os._exit, writing nothing else;
-    every child is reaped before this returns or raises."""
-    outer = plan.axes[order[0]]
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    w = min(jobs, cpus, len(outer.points))
+def _dealt_walk(base: ValidatedSystem, plan: SweepPlan, order: list[int],
+                jobs: int) -> list[tuple]:
+    """run_sweep's rows, its outer values dealt to w processes as it
+    describes; raises if any process fails. Each child pickles its rows
+    into a pipe and leaves by os._exit, writing nothing else; every
+    child is killed if this process's walk fails, and reaped before
+    this returns or raises."""
+    n = len(plan.axes[order[0]].points)
+    w = min(jobs, n, len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return None
-    import pickle
-    weight = list(itertools.accumulate(
-        (n if isinstance(outer, SplitAxis) else 1 for n in outer.points),
-        initial=0))
-    # cut k falls where the weight walked so far is nearest k/w of it all
-    cuts = [0]
-    for k in range(1, w):
-        cuts.append(min(range(cuts[-1] + 1, len(outer.points) - w + k + 1),
-                        key=lambda c: abs(weight[c] - weight[-1] * k / w)))
-    cuts.append(len(outer.points))
+        w = 1
+    else:
+        import pickle
+        import signal
     children, rows = [], None       # children: [rows pipe, pid]
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+        for k in range(1, w):
             read, write = os.pipe()
             children.append([open(read, "rb"), None])
             with open(write, "wb") as out:
@@ -419,18 +414,15 @@ def _fork_walk(base: ValidatedSystem, plan: SweepPlan, order: list[int],
                 if pid == 0:
                     code = 1
                     try:
-                        pickle.dump(_walk(base, plan, order, range(lo, hi)),
+                        pickle.dump(_walk(base, plan, order, range(k, n, w)),
                                     out, pickle.HIGHEST_PROTOCOL)
                         out.flush()
                         code = 0
                     finally:
                         os._exit(code)
-        rows = _walk(base, plan, order, range(cuts[1]))
-    except Exception:
-        pass            # the serial walk raises what jobs=1 raises
+        rows = _walk(base, plan, order, range(0, n, w))
     finally:
         if rows is None:
-            import signal
             for _, pid in children:
                 if pid:
                     os.kill(pid, signal.SIGKILL)
@@ -439,10 +431,11 @@ def _fork_walk(base: ValidatedSystem, plan: SweepPlan, order: list[int],
             with fh:
                 part = fh.read()
             parts.append(pid and os.waitpid(pid, 0)[1] == 0 and part)
-    if rows is None or not all(parts):
-        return None
-    for part in map(pickle.loads, parts):
-        rows = [r if r is not None else p for r, p in zip(rows, part)]
+    if not all(parts):
+        raise ChildProcessError("a sweep process failed")
+    for part in parts:
+        rows = [r if r is not None else p
+                for r, p in zip(rows, pickle.loads(part))]
     return rows
 
 

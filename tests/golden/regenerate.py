@@ -12,7 +12,10 @@ compares the result with `digests.json`. The outputs covered:
   systems (every model field, at non-default values);
 - one digest over the JSON and CSV reports of `gensys.make_layers(0..199)`,
   whose chips sit on up to four layers, so a change in how a per-layer
-  total adds shows.
+  total adds shows;
+- one digest over the JSON and CSV reports of `gensys.make_twins(0..199)`,
+  whose twin leaves derive copies and evaluate costs once, so a change
+  in either reuse shows.
 
 A deliberate change of numbers or formats regenerates the file:
 
@@ -41,13 +44,14 @@ SRC = os.path.join(os.path.dirname(TESTS), "src")
 DIGESTS = os.path.join(HERE, "digests.json")
 GENSYS_SEEDS = range(1000)
 LAYERS_SEEDS = range(200)
+TWINS_SEEDS = range(200)
 
 for path in (SRC, TESTS):
     if path not in sys.path:
         sys.path.insert(0, path)
 
 import chipcost as cc  # noqa: E402
-from gensys import make_layers, make_system  # noqa: E402
+from gensys import make_layers, make_system, make_twins  # noqa: E402
 
 
 def _sha(*texts: str) -> str:
@@ -102,14 +106,16 @@ def gensys_digests() -> dict[str, str]:
         _add_reports(reports, system)
         for text in _serialized(system):
             serialized.update(text.encode("utf-8"))
-    layered = hashlib.sha256()
-    for seed in LAYERS_SEEDS:
-        _add_reports(layered, make_layers(seed))
-    span = _span(GENSYS_SEEDS)
-    return {f"gensys/{span}/reports": reports.hexdigest(),
-            f"gensys/{span}/serialized": serialized.hexdigest(),
-            f"gensys-layers/{_span(LAYERS_SEEDS)}/reports":
-                layered.hexdigest()}
+    out = {f"gensys/{_span(GENSYS_SEEDS)}/reports": reports.hexdigest(),
+           f"gensys/{_span(GENSYS_SEEDS)}/serialized":
+               serialized.hexdigest()}
+    for name, make, seeds in (("layers", make_layers, LAYERS_SEEDS),
+                              ("twins", make_twins, TWINS_SEEDS)):
+        h = hashlib.sha256()
+        for seed in seeds:
+            _add_reports(h, make(seed))
+        out[f"gensys-{name}/{_span(seeds)}/reports"] = h.hexdigest()
+    return out
 
 
 def compute() -> dict[str, str]:

@@ -1,7 +1,8 @@
-"""Sweeps at jobs > 1: the outermost visited axis is cut into contiguous
-ranges walked by forked processes. Rows, and the error of a failing
-sweep, are those of jobs=1; no process outlives the sweep; and every case
-that must stay serial forks nothing."""
+"""Sweeps at jobs > 1: the values of the outermost visited axis are dealt
+round-robin to forked processes. Rows, and the error of a failing sweep,
+are those of jobs=1, and a failing sweep ends in one declaration-order
+walk; no process outlives the sweep; and every case that must stay in
+one process forks nothing."""
 import os
 import random
 import subprocess
@@ -121,18 +122,44 @@ def test_shipped_sweeps_give_the_same_bytes_at_jobs_2(tmp_path, cpus, forks,
     assert out[1].read_bytes() == out[2].read_bytes()
 
 
-def test_the_cut_weighs_a_split_count_by_its_tiles(gp_system, cpus, forks,
-                                                   monkeypatch):
-    spans, walk = [], sweep._walk
+@pytest.fixture
+def walks(monkeypatch):
+    """The (order, span) of each _walk call made in this process; a
+    child's calls stay in the child."""
+    calls, walk = [], sweep._walk
 
     def spy(base, plan, order, span=None):
-        spans.append(span)
+        calls.append((list(order), span))
         return walk(base, plan, order, span)
     monkeypatch.setattr(sweep, "_walk", spy)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", (2, 3))
+def test_the_outer_values_are_dealt_round_robin(gp_system, cpus, forks,
+                                                walks, jobs):
+    cpus(4)
     plan = SweepPlan(axes=(_split((1, 4, 16, 64)),))
-    assert run_sweep(gp_system, plan, jobs=2) == naive_sweep(gp_system, plan)
-    # this process walked 1, 4 and 16 tiles; the child 64
-    assert spans == [range(3)]
+    assert run_sweep(gp_system, plan, jobs=jobs) == naive_sweep(gp_system,
+                                                                plan)
+    # this process walks every jobs-th count from the first
+    assert walks == [([0], range(0, 4, jobs))]
+    assert len(forks) == jobs - 1
+    assert_no_children()
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_a_failing_sweep_ends_in_one_declaration_order_walk(
+        gp_system, cpus, forks, walks, jobs):
+    # the chip axis is visited outermost, where the density fails first;
+    # in declaration order the core area fails first
+    plan = SweepPlan(axes=(FieldAxis(_DENSITY, (0.002, -1.0)),
+                           FieldAxis(_CORE_AREA, (100.0, -5.0, 300.0))))
+    assert _outcome(run_sweep, gp_system, plan, jobs) == (
+        "error", "chip 'tile': core_area must be >= 0, got -5.0")
+    assert [order for order, _ in walks] == [[1, 0], [0, 1]]
+    assert len(forks) == jobs - 1
+    assert_no_children()
 
 
 @pytest.mark.parametrize("values", [

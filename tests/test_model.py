@@ -93,6 +93,12 @@ class TestRecords:
         assert hash(copy) == hash(obj)
         assert len({obj, copy}) == 1
 
+    @pytest.mark.parametrize("cls", (cc.Library, cc.ValidatedSystem),
+                             ids=lambda c: c.__name__)
+    def test_records_holding_dicts_do_not_hash(self, cls):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record(cls))
+
     @pytest.mark.parametrize("protocol",
                              range(2, pickle.HIGHEST_PROTOCOL + 1))
     def test_a_parsed_system_survives_pickling(self, gp_system, protocol):

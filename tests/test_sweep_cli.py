@@ -318,6 +318,30 @@ class TestApplySplit:
             apply_split(handcheck_system.library, handcheck_system.root,
                         handcheck_system.nets, axis, 4)
 
+    def test_rejects_an_edge_stub_named_like_a_chip(self, gp_system):
+        # the stub would join the sibling by an internal net, and charge
+        # it IO cells, though edge stubs are external endpoints
+        sibling = dataclasses.replace(gp_system.root.children[0],
+                                      name="edge_w0", core_area=10.0)
+        root = dataclasses.replace(
+            gp_system.root, children=(*gp_system.root.children, sibling))
+        with pytest.raises(ValidationError) as err:
+            apply_split(gp_system.library, root, gp_system.nets, self.AXIS,
+                        4)
+        assert str(err.value) == ("<split tile>: external endpoint "
+                                  "'edge_w0' is a chip in the system")
+
+    def test_a_template_named_like_its_stub_is_split(self, gp_system):
+        template = dataclasses.replace(gp_system.root.children[0],
+                                       name="edge_w0")
+        root = dataclasses.replace(gp_system.root, children=(template,))
+        axis = dataclasses.replace(self.AXIS, chip="edge_w0")
+        _, split, nets = apply_split(gp_system.library, root, (), axis, 4)
+        assert [c.name for c in split.children] == [
+            "edge_w0_0_0", "edge_w0_0_1", "edge_w0_1_0", "edge_w0_1_1"]
+        assert ("edge_w0_0_0", "edge_w0") in [(x.source, x.dest)
+                                             for x in nets]
+
     def test_io_type_is_named_before_the_root(self, handcheck_library):
         solo = cc.ChipSpec(name="die", core_area=10.0, core_power=0.0,
                            core_voltage=1.0, quantity=1000,
