@@ -77,7 +77,7 @@ class DerivedChip(Tree):
 _FIGURES = attrgetter(*(f.name for f in fields(DerivedChip)[1:-1]))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DerivedSystem:
     system: ValidatedSystem
     # io -> {(src, dst): instances} of the internal nets (NetTally)
@@ -106,7 +106,7 @@ def net_instances(net: NetSpec, io: IODefinition) -> int:
                           f"net '{net.source}' -> '{net.dest}'")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NetTally:
     """What the netlist puts on each chip, keyed by chip name.
 

@@ -172,7 +172,7 @@ class NodeCosts(namedtuple("NodeCosts", (
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CostReport:
     """A costed tree: its root, every node in pre-order (as root.walk()
     yields them, listed by evaluate's breakdown walk), the totals and the
@@ -284,6 +284,8 @@ def _evaluate_node(chip: DerivedChip, library: Library, path: str,
         q_shipped = q_self
         y_chip = y_die
         scrap = c_re - (c_die + c_test_self)
+    # rounding can leave scrap ulps below zero (c_re sums in another order)
+    scrap = max(scrap, 0.0)     # scrap first: NaN and -0.0 pass unchanged
 
     costs = NodeCosts(
         name=spec.name, path=my_path, area=chip.area,

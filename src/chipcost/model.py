@@ -1,13 +1,13 @@
 """Domain model: process definitions, chip tree, netlist, and validation.
 
-Every record here is a slotted dataclass that nothing assigns to after
-it is built; a test holds the package to that. They are not frozen: a
-frozen __init__ stores each field through object.__setattr__, several
-times slower, and a split builds thousands of records. Equal records
-of scalar and tuple fields hash equal; Library and ValidatedSystem hold
-dicts and do not hash. Parameter studies never mutate a model in
-place; they rebuild the changed pieces with dataclasses.replace, so no
-sweep point alters the inputs another point holds.
+Every record in the package is a dataclass that nothing assigns to once
+it is built; tests hold the package to that. None is frozen (a frozen
+__init__ stores each field through object.__setattr__, several times
+slower) and no module writes an instance's dict. Hot records, these
+included, are slotted; the sweep axes, which resolve attributes in
+__post_init__, are not. A record of scalar and tuple fields hashes, equal
+ones equal; one holding a dict (Library, ValidatedSystem) does not. Sweeps
+rebuild changed pieces with dataclasses.replace, never mutating in place.
 
 Each dataclass is also the one record of its XML element: a field is an
 attribute of the same name and type, and its default is the attribute's

@@ -79,10 +79,10 @@ _TARGET_RE = re.compile(
     r"\[([^\]]+)\]\.(\w+)$")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FieldAxis:
     """A <param> axis. Its target is resolved when the axis is built into
-    `kind` (the library tag or "chip"), `name` (the entry or chip name,
+    `kind` (the library tag or "chip"), `entry` (the entry or chip name,
     "*" for every chip), `field`, `is_int` and `stage` (the earliest
     stage the field changes); a bad target, an unknown field or one that
     holds no number is refused there, as is an empty value list, a value
@@ -115,18 +115,18 @@ class FieldAxis:
                 raise ValidationError(f"value must be finite, got {v}", ctx)
             if is_int:
                 to_integer(v, f"field '{field}'", ctx)
-        self.__dict__.update(
-            context=ctx, kind=kind, name=name, field=field, is_int=is_int,
-            stage=TREE if kind == "chip" else
-            DERIVE if field in derive_fields(cls) else COST,
-            points=self.values, columns=(self.target,),
-            entries=() if kind == "chip" else ((kind, name),))
+        self.context, self.kind, self.entry = ctx, kind, name
+        self.field, self.is_int = field, is_int
+        self.stage = (TREE if kind == "chip" else
+                      DERIVE if field in derive_fields(cls) else COST)
+        self.points, self.columns = self.values, (self.target,)
+        self.entries = () if kind == "chip" else ((kind, name),)
 
     def apply(self, lib, root, nets, value):
         return (*apply_field(lib, root, nets, self, value), (value,))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SplitAxis:
     """A <split> element; its attributes are read and checked like the
     model's when it is built. `counts` must be a non-empty list of whole
@@ -146,6 +146,7 @@ class SplitAxis:
     context: str = dataclasses.field(default="", compare=False, repr=False,
                                      metadata={"attr": None})
     stage = TREE              # a split rebuilds the tree
+    entries = ()              # and moves no library entry
 
     def __post_init__(self):
         ctx = self.context or f"<split {self.chip}>"
@@ -161,10 +162,9 @@ class SplitAxis:
                     "<split> counts must be perfect squares, got "
                     f"{format_value(n)}", ctx)
         check_fields(self, ctx)
-        counts = tuple(int(n) for n in self.counts)
-        self.__dict__.update(
-            context=ctx, counts=counts, points=counts, entries=(),
-            columns=(f"split.{self.chip}", f"{self.chip}.core_area_each"))
+        self.context = ctx
+        self.counts = self.points = tuple(int(n) for n in self.counts)
+        self.columns = (f"split.{self.chip}", f"{self.chip}.core_area_each")
 
     def apply(self, lib, root, nets, n):
         split = apply_split(lib, root, nets, self, n)
@@ -172,7 +172,7 @@ class SplitAxis:
         return (*split, (n, area / n))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SweepPlan:
     axes: tuple[FieldAxis | SplitAxis, ...]
 
@@ -264,19 +264,19 @@ def apply_field(lib: Library, root: ChipSpec, nets: tuple[NetSpec, ...],
         value = int(value)      # a whole number, checked when built
     change = {axis.field: value}
     if axis.kind == "chip":
-        (root,), hits = _rewrite(root, axis.name, lambda c, children: (
+        (root,), hits = _rewrite(root, axis.entry, lambda c, children: (
             dataclasses.replace(c, children=children, **change),))
         if hits == 0:
             raise ValidationError(
-                f"no chip named '{axis.name}' in the system", axis.context)
+                f"no chip named '{axis.entry}' in the system", axis.context)
         return lib, root, nets
     attr = LIBRARY_KINDS[axis.kind][0]
     table = dict(getattr(lib, attr))
-    if axis.name not in table:
+    if axis.entry not in table:
         raise ValidationError(
-            f"no {axis.kind} named '{axis.name}' in the library",
+            f"no {axis.kind} named '{axis.entry}' in the library",
             axis.context)
-    table[axis.name] = dataclasses.replace(table[axis.name], **change)
+    table[axis.entry] = dataclasses.replace(table[axis.entry], **change)
     return dataclasses.replace(lib, **{attr: table}), root, nets
 
 

@@ -165,7 +165,7 @@ def dies_per_wafer(wp: WaferProcessDef, die_x: float, die_y: float) -> int:
               wp.scribe_x, wp.scribe_y)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReticleFit:
     """How a die area maps onto the exposure field."""
 

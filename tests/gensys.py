@@ -209,6 +209,33 @@ def make_layers(seed: int) -> cc.ValidatedSystem:
     return cc.validate_system(root, system.nets, lib)
 
 
+# Libraries at the edges of the valid ranges: each sets the given fields
+# of every entry of the given library tables.
+EDGES = {
+    "coverage_0": {"test_processes": {"fault_coverage": 0.0}},
+    "coverage_1": {"test_processes": {"fault_coverage": 1.0}},
+    "perfect_yields": {"layers": {"defect_density": 0.0, "stitch_yield": 1.0},
+                       "assembly_processes": {
+                           "bond_yield": 1.0, "alignment_yield": 1.0,
+                           "dielectric_defect_density": 0.0}},
+    "no_critical_area": {"layers": {"critical_area_fraction": 0.0}},
+    "free_test": {"test_processes": {"cost_per_second": 0.0}},
+    "free_assembly": {"assembly_processes": {
+        "pick_place_rate": 0.0, "bond_rate": 0.0,
+        "material_cost_per_mm2": 0.0}},
+}
+
+
+def at_edge(system: cc.ValidatedSystem, edge: str) -> cc.ValidatedSystem:
+    """system on its library with EDGES[edge] applied."""
+    lib = system.library
+    for table, change in EDGES[edge].items():
+        lib = dataclasses.replace(lib, **{table: {
+            k: dataclasses.replace(v, **change)
+            for k, v in getattr(lib, table).items()}})
+    return cc.validate_system(system.root, system.nets, lib)
+
+
 def scale_defects(system: cc.ValidatedSystem,
                   factor: float) -> cc.ValidatedSystem:
     layers = {k: dataclasses.replace(v,
@@ -251,6 +278,7 @@ def check_invariants(system: cc.ValidatedSystem) -> None:
         assert (abs(n.cost_re * n.yield_tested_assembly - upstream)
                 <= 1e-12 * max(1.0, upstream))
         assert n.cost_re >= n.cost_re_self - 1e-12
+        assert n.cost_scrap >= 0.0
 
     assert rep.infeasible == (not math.isfinite(rep.cost_total))
     if not rep.infeasible:

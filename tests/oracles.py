@@ -11,6 +11,9 @@ take the slow, obvious route (every row recounted for every grid
 phase) and also return the per-column or per-row layout, so the fast
 kernels must match them exactly.
 
+`evaluate_exact` reruns evaluate's formulas in exact rational arithmetic,
+so each float figure can be held to a stated error bound.
+
 `report_dict` builds the eval JSON document as one plain dict, which
 json.dumps(indent=2) writes through json's pure-Python encoder; the
 library's C-encoded records must give the same bytes.
@@ -535,3 +538,154 @@ def report_dict(report) -> dict:
         "infeasible_paths": list(report.infeasible_paths),
         "nodes": [record(n) for n in report.nodes],
     }
+
+
+def evaluate_exact(ds) -> dict:
+    """evaluate's figures for a derived system in exact arithmetic.
+
+    Every float input (the derived figures, the library fields, math.pi)
+    is taken as the exact rational it stores, and each formula of the
+    engine runs in fractions.Fraction; only pow, and so the negative
+    binomial, goes through mpmath at 50 digits. The wafer counts
+    (dies_per_wafer) are integers and are taken from the library code.
+    Returns {path: {NodeCosts field: Fraction, or None where the float
+    figure is infinite}} for every node, and under "" the report's
+    totals and breakdown, by the same names as CostReport's.
+    """
+    from fractions import Fraction as F
+
+    import mpmath
+
+    from chipcost.wafer import dies_per_wafer
+
+    lib = ds.system.library
+
+    def power(base, exponent):
+        """base ** exponent to 50 digits, as the Fraction mpmath holds."""
+        def mpf(q):
+            q = F(q)
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        with mpmath.workdps(50):
+            man, exp = mpmath.power(mpf(base), mpf(exponent)).man_exp
+        return F(man) * F(2) ** exp
+
+    def tested(coverage, y):
+        return y + (1 - F(coverage)) * (1 - y)
+
+    def test_cost(tp):
+        return (F(tp.cost_per_second) * tp.patterns * tp.scan_chain_length
+                * F(tp.clock_period))
+
+    def die(chip):
+        """cost_die (None if no wafer holds the die) and yield_die."""
+        spec, fit = chip.spec, chip.fit
+        wp = lib.wafer_processes[spec.wafer_process]
+        dpw = dies_per_wafer(wp, chip.dim_x, chip.dim_y)
+        r = F(wp.wafer_diameter) / 2 - F(wp.edge_exclusion)
+        cost, y = (F(0) if dpw > 0 else None), F(1)
+        for name in spec.layers:
+            layer = lib.layers[name]
+            if cost is not None:
+                lf = F(layer.litho_fraction)
+                cost += (F(chip.area) * F(layer.cost_per_mm2) * F(math.pi)
+                         * r * r / (dpw * F(chip.dim_x) * F(chip.dim_y))
+                         * (1 - lf + lf / F(fit.utilization)))
+            critical = ((F(chip.area_core) + F(chip.area_io))
+                        * F(layer.critical_area_fraction))
+            alpha = F(layer.clustering_factor)
+            y *= power(1 + F(layer.defect_density) * critical / alpha,
+                       -alpha)
+            if fit.k_stitch > 0:
+                y *= power(F(layer.stitch_yield), fit.k_stitch)
+        return cost, y
+
+    def nre_self(spec):
+        wp = lib.wafer_processes[spec.wafer_process]
+        shares = [(F(getattr(wp, f"nre_{end}_{kind}"))
+                   * F(getattr(spec, f"{kind}_fraction")))
+                  for end in ("fe", "be")
+                  for kind in ("logic", "memory", "analog")]
+        masks = sum(F(lib.layers[name].mask_cost) for name in spec.layers)
+        return ((F(spec.core_area) * sum(shares)
+                 + F(spec.reticle_share) * masks) / spec.quantity)
+
+    def plus(*terms):
+        return None if None in terms else sum(terms)
+
+    out = {}
+
+    def node(chip, path):
+        spec = chip.spec
+        path = f"{path}/{spec.name}" if path else spec.name
+        kids = [node(c, path) for c in chip.children]
+        c_die, y_die = die(chip)
+        tp = lib.test_processes[spec.test_self]
+        c_test_self = test_cost(tp)
+        y_tested_self = tested(tp.fault_coverage, y_die)
+        c_re_self = (None if c_die is None
+                     else (c_die + c_test_self) / y_tested_self)
+        c_nre_self = nre_self(spec)
+        c_nre = c_nre_self + sum(k["cost_nre"] for k in kids)
+        q_self = y_die / y_tested_self
+        if kids:
+            asm = lib.assembly_processes[spec.assembly_process]
+            tp_asm = lib.test_processes[spec.test_assembly]
+            n_dies = len(kids)
+            area = sum(F(c.area) for c in chip.children)
+            pins = sum(c.n_bonded_pins for c in chip.children)
+            c_asm = (F(asm.pick_place_rate) * -(-n_dies // asm.pick_place_group)
+                     * F(asm.pick_place_time)
+                     + F(asm.bond_rate) * -(-n_dies // asm.bond_group)
+                     * F(asm.bond_time)
+                     + F(asm.material_cost_per_mm2) * area)
+            c_test_asm = test_cost(tp_asm)
+            y_asm = (power(F(asm.bond_yield), pins)
+                     * power(F(asm.alignment_yield), n_dies)
+                     / (1 + F(asm.dielectric_defect_density) * area))
+            y_child_q = F(1)
+            for k in kids:
+                y_child_q *= k["quality_shipped"]
+            y_true_asm = y_asm * y_child_q
+            y_tested_asm = tested(tp_asm.fault_coverage, y_true_asm)
+            c_re_children = plus(*(k["cost_re"] for k in kids))
+            upstream = plus(c_asm, c_test_asm, c_re_self, c_re_children)
+            c_re = None if upstream is None else upstream / y_tested_asm
+            q_shipped = q_self * y_true_asm / y_tested_asm
+            y_chip = y_die * y_asm * y_child_q
+            scrap = (None if c_re is None else c_re - (
+                c_die + c_test_self + c_asm + c_test_asm) - c_re_children)
+        else:
+            c_asm = c_test_asm = F(0)
+            y_asm = y_tested_asm = y_child_q = F(1)
+            c_re = c_re_self
+            q_shipped = q_self
+            y_chip = y_die
+            scrap = None if c_re is None else c_re - (c_die + c_test_self)
+        figures = {
+            "area": F(chip.area), "power": F(chip.power_total),
+            "cost_die": c_die, "cost_test_self": c_test_self,
+            "cost_test_assembly": c_test_asm, "cost_assembly": c_asm,
+            "cost_re_self": c_re_self, "cost_re": c_re,
+            "cost_nre_self": c_nre_self, "cost_nre": c_nre,
+            "cost_scrap": scrap, "yield_die": y_die,
+            "yield_tested_self": y_tested_self, "quality_self": q_self,
+            "yield_assembly": y_asm, "yield_child_quality": y_child_q,
+            "yield_tested_assembly": y_tested_asm, "yield_chip": y_chip,
+            "quality_shipped": q_shipped}
+        out[path] = figures
+        return figures
+
+    root = node(ds.root, "")
+    nodes = [v for k, v in out.items() if k]
+
+    def total(*names):
+        return plus(*(n[name] for n in nodes for name in names))
+
+    out[""] = {
+        "cost_total": plus(root["cost_re"], root["cost_nre"]),
+        "cost_re": root["cost_re"], "cost_nre": root["cost_nre"],
+        "silicon": total("cost_die"), "assembly": total("cost_assembly"),
+        "test": total("cost_test_self", "cost_test_assembly"),
+        "scrap": total("cost_scrap"), "nre": root["cost_nre"]}
+    return out

@@ -27,7 +27,8 @@ from chipcost.model import check_fields
 from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, apply_field, \
     apply_split
 from conftest import config_path, split_tiles
-from gensys import check_invariants, make_layers, make_system, make_twins
+from gensys import (EDGES, at_edge, check_invariants, make_layers,
+                    make_system, make_twins)
 from oracles import (derive_without_memo, derived_differences,
                      evaluate_in_full, grid_family_oracle, naive_sweep,
                      stitch_layout_edges)
@@ -183,6 +184,15 @@ def test_randomized_systems_hold_invariants():
         check_invariants(make_system(seed))
         check_invariants(make_twins(seed))
     assert time.perf_counter() - t0 < 120.0
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_systems_on_range_edge_libraries_hold_invariants(edge):
+    # at coverage 0 or perfect yields every part passes, so scrap is zero
+    # in exact arithmetic; its float difference once fell below zero
+    for seed in range(300):
+        for make in (make_system, make_twins, make_layers):
+            check_invariants(at_edge(make(seed), edge))
 
 
 def test_layered_systems_hold_invariants_and_match_the_full_oracle():

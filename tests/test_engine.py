@@ -14,7 +14,7 @@ from chipcost.engine import test_cost as insertion_cost
 from chipcost.wafer import dies_per_wafer, reticle_fit
 from chipcost.sweep import FieldAxis, apply_field
 from conftest import OVERFLOWS, config_path
-from gensys import make_system
+from gensys import at_edge, make_system
 from oracles import simulate_rollup
 
 LAYER = cc.LayerDef(name="m", cost_per_mm2=0.1, defect_density=0.0,
@@ -299,6 +299,13 @@ class TestEvaluate:
                 upstream, rel=1e-12)
         total = sum(rep.breakdown.values())
         assert total == pytest.approx(rep.cost_total, rel=1e-9)
+
+    def test_scrap_never_rounds_below_zero(self):
+        # at fault coverage 0 every part passes and nothing is scrapped;
+        # c_re's other summing order once left this scrap at -2.8e-14
+        report = evaluate(derive(at_edge(make_system(7), "coverage_0")))
+        assert "c9/c4,scrap,0" in cc.report_to_csv(report).splitlines()
+        assert min(n.cost_scrap for n in report.nodes) >= 0.0
 
     def test_infeasible_tagged_not_raised(self):
         child = die(name="c", core=10**6)

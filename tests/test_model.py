@@ -1,11 +1,15 @@
+import ast
 import dataclasses
 import pickle
+from pathlib import Path
 
 import pytest
 
 import chipcost as cc
 from chipcost import model
+from chipcost.derive import NetTally, tally_nets
 from chipcost.model import LIBRARY_KINDS, _field_checks, validate_library
+from chipcost.sweep import FieldAxis, SplitAxis
 
 # every record class chipcost.model defines
 MODELS = tuple(v for v in vars(model).values()
@@ -72,9 +76,54 @@ def record(cls):
     return made[cls]
 
 
+# the package's other record classes, each with whether it is slotted
+# and whether it hashes (a record holding a dict does not)
+OTHER_RECORDS = {cc.ReticleFit: (True, True), cc.DerivedSystem: (True, False),
+                 NetTally: (True, False), cc.CostReport: (True, False),
+                 cc.SweepPlan: (True, True), FieldAxis: (False, True),
+                 SplitAxis: (False, True)}
+
+
+def other_record(cls):
+    """A record of one of the OTHER_RECORDS classes."""
+    system = record(cc.ValidatedSystem)
+    axis = FieldAxis("library.layer[m].defect_density", (0.0, 0.1))
+    made = (cc.reticle_fit(10.0, 33.0, 26.0), cc.derive(system),
+            tally_nets(system.root, system.nets, system.library),
+            cc.evaluate(cc.derive(system)), cc.SweepPlan(axes=(axis,)), axis,
+            SplitAxis(chip="inner", counts=(1, 4), side_bandwidth=8.0,
+                      io_type="io"))
+    return {type(r): r for r in made}[cls]
+
+
 class TestRecords:
     def test_there_are_nine_model_classes(self):
         assert len(MODELS) == 9
+
+    def test_no_record_is_frozen_and_no_module_touches_dict(self):
+        # one record convention: a dataclass nothing assigns to once it
+        # is built, never a frozen one, and no instance dict written
+        found = []
+        for path in sorted(Path(cc.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.keyword) and node.arg == "frozen"
+                        or isinstance(node, ast.Attribute)
+                        and node.attr == "__dict__"):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    @pytest.mark.parametrize("cls", OTHER_RECORDS, ids=lambda c: c.__name__)
+    def test_other_records_copy_equal_and_hash_as_they_hold(self, cls):
+        obj = other_record(cls)
+        copy = dataclasses.replace(obj)
+        assert copy is not obj and copy == obj
+        slotted, hashes = OTHER_RECORDS[cls]
+        assert hasattr(obj, "__dict__") != slotted
+        if hashes:
+            assert hash(copy) == hash(obj)
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(obj)
 
     @pytest.mark.parametrize("cls", MODELS, ids=lambda c: c.__name__)
     def test_has_no_instance_dict(self, cls):
