@@ -4,7 +4,10 @@ One pass over the netlist (tally_nets) puts each net's instances, pads
 and link power on the chips it touches, summing the internal instances
 into per-IO-type matrices between chips. A net's figures follow from
 its class (io type, bandwidth, count, utilization), so a run of nets of
-one class, as the mesh links of a split, works them out once.
+one class, as the mesh links of a split, works them out once. A net's
+pads cross the boundary of each subtree below the common ancestor of
+its endpoints; a net between siblings, as a mesh link, crosses just
+theirs, with no walk up the tree.
 Each chip's IO cell area adds those summed instances first, then the
 external nets in net order.
 Power rolls up the tree, pad counts follow from connectivity plus power
@@ -15,10 +18,13 @@ pins and crossing pads; its pads use its parent's assembly process (the
 root's own). Order matters and is deliberate: power first (it does not
 depend on area), then pads, then area. No iteration is needed. Each die
 is then fitted to its wafer and exposure field once, so evaluate reads
-the fit instead of recomputing it. A leaf whose inputs, all but its name,
-match an earlier leaf's copies that leaf's figures and names it as its
-twin, so the tiles of a split are derived once per call and evaluate
-costs each class of them once.
+the fit instead of recomputing it. A non-root leaf whose inputs, all but
+its name, match an earlier leaf's, and whose tally and parent assembly
+do too, copies that leaf's figures and names it as its twin, so the
+tiles of a split are derived once per class and evaluate costs each
+class of them once. The inputs are matched by the leaf class that
+validate_system gave each leaf (ValidatedSystem.leaf_classes), not
+compared again field by field.
 
 IO cell area lands only on the two terminal chips of a net. A chip that
 merely routes a net between descendants accrues bumps for it, not cell
@@ -33,9 +39,9 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .errors import ValidationError
-from .model import (_LEAF_INPUTS, AssemblyProcessDef, ChipSpec,
-                    IODefinition, Library, NetSpec, TestProcessDef, Tree,
-                    ValidatedSystem, WaferProcessDef)
+from .model import (AssemblyProcessDef, ChipSpec, IODefinition, Library,
+                    NetSpec, TestProcessDef, Tree, ValidatedSystem,
+                    WaferProcessDef)
 from .wafer import ReticleFit, reticle_fit
 
 _EPS = 1e-12
@@ -140,12 +146,18 @@ def tally_nets(root: ChipSpec, nets: tuple[NetSpec, ...],
     adds the summed internal instances first (IO types, then chip pairs,
     each in first-seen order), then the external nets in net order. So
     the totals are the same as a scan of every net per chip."""
-    parent: dict[str, str] = {}
+    parent: dict[str, str | None] = {root.name: None}
     depth = {root.name: 0}
-    for chip in root.walk():
+    stack = [root]      # chips with children, each reached once
+    while stack:
+        chip = stack.pop()
+        name = chip.name
+        d = depth[name] + 1
         for c in chip.children:
-            parent[c.name] = chip.name
-            depth[c.name] = depth[chip.name] + 1
+            parent[c.name] = name
+            depth[c.name] = d
+            if c.children:
+                stack.append(c)
     area = dict.fromkeys(depth, 0.0)
     power = dict.fromkeys(depth, 0.0)
     external: dict[str, dict[str, int]] = {name: {} for name in depth}
@@ -164,7 +176,9 @@ def tally_nets(root: ChipSpec, nets: tuple[NetSpec, ...],
         key = (net.io_type, net.bandwidth, net.count, net.utilization)
         if key != last:
             last = key
-            io = library.ios[net.io_type]
+            io_type = net.io_type
+            io = library.ios[io_type]
+            m = None    # the class's matrix, from its first internal net
             inst = net_instances(net, io)
             pads = inst * io.wires_per_instance
             bandwidth = (net.bandwidth if net.bandwidth is not None
@@ -179,20 +193,28 @@ def tally_nets(root: ChipSpec, nets: tuple[NetSpec, ...],
             outside.append((r, (tx if a == r else rx) * inst))
             power[r] += p
             tally = external[r]
-            tally[net.io_type] = tally.get(net.io_type, 0) + pads
+            tally[io_type] = tally.get(io_type, 0) + pads
             continue
-        m = matrices.setdefault(net.io_type, {})
+        if m is None:
+            m = matrices.setdefault(io_type, {})
         m[a, b] = m.get((a, b), 0) + inst
         power[a] += p
         power[b] += p
         # the net crosses the boundary of each subtree holding one endpoint
         # only: those rooted below the lowest common ancestor on the paths
-        # up from either endpoint
+        # up from either endpoint. Of siblings, as the links of a split,
+        # just the two
+        if parent[a] == parent[b]:
+            tally = crossing[a]
+            tally[io_type] = tally.get(io_type, 0) + pads
+            tally = crossing[b]
+            tally[io_type] = tally.get(io_type, 0) + pads
+            continue
         while a != b:
             if depth[a] < depth[b]:
                 a, b = b, a
             tally = crossing[a]
-            tally[net.io_type] = tally.get(net.io_type, 0) + pads
+            tally[io_type] = tally.get(io_type, 0) + pads
             a = parent[a]
 
     # cell area of internal nets from the summed instances: tx per row,
@@ -334,25 +356,31 @@ def _check_die(area: float, side: float, wp: WaferProcessDef,
 
 def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
                 parent_asm: AssemblyProcessDef | None,
+                classes: dict[str, int | None] | None = None,
                 memo: dict | None = None) -> DerivedChip:
-    """chip and its subtree. With a memo, a leaf whose inputs match a leaf
-    derived before into that memo copies its figures under its own spec
-    and names that leaf as its twin; only a leaf that passed every check
-    is kept."""
+    """chip and its subtree. With a memo, classes is the system's
+    ValidatedSystem.leaf_classes: a leaf whose class, zero signs, tally
+    and parent assembly match those of a leaf derived before into that
+    memo copies its figures under its own spec and names that leaf as
+    its twin; only a leaf that passed every check is kept. The root and
+    the chips with children have no class and are derived in full."""
     key = None
-    if memo is not None and not chip.children:
-        # == takes -0.0 for 0.0: the two floats a leaf keeps unchanged
-        # (area_core, power_total) key the sign of a zero as well. The
-        # content fractions need not: only nre_cost_self reads them, and
-        # there they move fe + be by at most a zero's sign, which adding
-        # the mask share erases (the mask total starts at +0.0, so that
-        # share is never -0.0). So twins cost the same too
+    k = None if memo is None else classes[chip.name]
+    if k is not None:
+        # the class stands for every input of the leaf but its name,
+        # compared with ==, which takes -0.0 for 0.0: the two floats a
+        # leaf keeps unchanged (area_core, power_total) key the sign of a
+        # zero as well. The content fractions need not: only
+        # nre_cost_self reads them, and there they move fe + be by at
+        # most a zero's sign, which adding the mask share erases (the
+        # mask total starts at +0.0, so that share is never -0.0). So
+        # twins cost the same too
         a, p = chip.core_area, chip.black_box_power
         name = chip.name
-        key = (*_LEAF_INPUTS(chip), a == 0.0 and repr(a),
-               p == 0.0 and repr(p), tally.area_io[name],
-               tally.power_io[name], *tally.crossing_pads[name].items(),
-               None, *tally.external_pads[name].items(), id(parent_asm))
+        key = (k, a == 0.0 and repr(a), p == 0.0 and repr(p),
+               tally.area_io[name], tally.power_io[name],
+               *tally.crossing_pads[name].items(), None,
+               *tally.external_pads[name].items(), id(parent_asm))
         hit = memo.get(key)
         if hit is not None:
             return DerivedChip(chip, *_FIGURES(hit), hit)
@@ -372,7 +400,7 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
     p_children = 0.0    # folded left: sum() compensates floats from 3.12
     n_bonded = 0
     for c in chip.children:
-        child = derive_chip(c, tally, library, own_asm, memo)
+        child = derive_chip(c, tally, library, own_asm, classes, memo)
         children.append(child)
         p_children += child.power_total
         n_bonded += child.n_bonded_pins
@@ -438,5 +466,6 @@ def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
 def derive(system: ValidatedSystem) -> DerivedSystem:
     """Resolve the whole tree bottom-up, each distinct leaf once."""
     tally = tally_nets(system.root, system.nets, system.library)
-    root = derive_chip(system.root, tally, system.library, None, {})
+    root = derive_chip(system.root, tally, system.library, None,
+                       system.leaf_classes, {})
     return DerivedSystem(system=system, matrices=tally.matrices, root=root)

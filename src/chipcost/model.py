@@ -252,11 +252,22 @@ class Library:
 
 @dataclass(slots=True)
 class ValidatedSystem:
-    """A chip tree plus netlist checked against a library."""
+    """A chip tree plus netlist checked against a library, as
+    validate_system returns it.
+
+    leaf_classes maps each chip's name to its leaf class, None for the
+    root and for a chip with children. A class is a small int shared by
+    the non-root leaves whose inputs (every field but the name) are
+    equal, numbered in pre-order of first appearance; derive keys its
+    leaf memo by it. It follows from the tree alone, so a system built
+    with another library around the same tree keeps it (as
+    dataclasses.replace does); one with another tree must come from
+    validate_system."""
 
     root: ChipSpec
     nets: tuple[NetSpec, ...]
     library: Library
+    leaf_classes: dict[str, int | None]
 
 
 # A leaf's inputs: every field of it but its name (the first). A non-root
@@ -398,27 +409,35 @@ def _validate_chip(chip: ChipSpec, lib: Library, is_root: bool) -> None:
 def validate_system(root: ChipSpec, nets: tuple[NetSpec, ...],
                     library: Library) -> ValidatedSystem:
     """Cross-check the tree and netlist against the library. A non-root
-    leaf equal, name aside, to one that passed passes too and is not
-    checked again; a leaf that fails is never stored, so the first
-    failing chip in pre-order is the one named. Nets likewise: a net of
-    the class (io type, bandwidth, count, utilization) of the last net
-    checked in full runs only its two endpoint checks, so the links of a
-    split are checked in full once and the first failing net is named."""
+    leaf equal, name aside, to one that passed passes too, is not
+    checked again, and takes that leaf's class (leaf_classes); a leaf
+    that fails is never stored, so the first failing chip in pre-order
+    is the one named. The root is checked in full and has no class.
+    Nets likewise: a net of the class (io type, bandwidth, count,
+    utilization) of the last net checked in full runs only its two
+    endpoint checks, so the links of a split are checked in full once
+    and the first failing net is named."""
     validate_library(library)
-    seen: set[str] = set()
-    passed = set()
+    seen: dict[str, int | None] = {}    # the leaf classes by chip name
+    passed: dict[tuple, int] = {}       # the inputs of each class
     repeated = []
-    for chip in root.walk():
+    stack = [root]      # pre-order, each chip's children pushed reversed
+    while stack:
+        chip = stack.pop()
+        k = None
         if chip.children or chip is root:
             _validate_chip(chip, library, chip is root)
+            stack.extend(reversed(chip.children))
         else:
             key = _LEAF_INPUTS(chip)
-            if key not in passed:
+            k = passed.get(key)
+            if k is None:
                 _validate_chip(chip, library, False)
-                passed.add(key)
-        if chip.name in seen:
-            repeated.append(chip.name)
-        seen.add(chip.name)
+                k = passed[key] = len(passed)
+        name = chip.name
+        if name in seen:
+            repeated.append(name)
+        seen[name] = k
     if repeated:
         raise ValidationError(
             f"chip name '{repeated[0]}' appears more than once in the tree",
@@ -446,4 +465,5 @@ def validate_system(root: ChipSpec, nets: tuple[NetSpec, ...],
         _check(src in seen or dst in seen,
                "neither endpoint names a chip in the tree", ctx)
 
-    return ValidatedSystem(root=root, nets=tuple(nets), library=library)
+    return ValidatedSystem(root=root, nets=tuple(nets), library=library,
+                           leaf_classes=seen)

@@ -370,7 +370,9 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
     put back by position and are byte-identical at every w. If any
     process fails, every result is dropped and the product is walked
     again here in declaration order, so the error is the one the first
-    failing point in declaration order raises.
+    failing point in declaration order raises. At w = 1 with the axes
+    visited in declaration order, the failed walk was that walk: its
+    error is raised as it is.
     """
     if not plan.axes:
         raise ValidationError("sweep defines no axes", "sweep")
@@ -382,26 +384,29 @@ def run_sweep(base: ValidatedSystem, plan: SweepPlan,
                 f"more than {MAX_SWEEP_POINTS} points once axis "
                 f"'{axis.columns[0]}' joins the product", "sweep")
     order = sorted(range(len(plan.axes)), key=lambda k: plan.axes[k].stage)
+    w = min(jobs, len(plan.axes[order[0]].points),
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        w = 1
     try:
-        return _dealt_walk(base, plan, order, jobs)
+        return _dealt_walk(base, plan, order, w)
     except Exception:
-        pass    # the walk below raises the first failing point's error
+        if w == 1 and order == sorted(order):
+            raise       # that walk was the declaration-order walk
+    # a declaration-order walk raises the first failing point's error
     return _walk(base, plan, range(len(plan.axes)))
 
 
 def _dealt_walk(base: ValidatedSystem, plan: SweepPlan, order: list[int],
-                jobs: int) -> list[tuple]:
+                w: int) -> list[tuple]:
     """run_sweep's rows, its outer values dealt to w processes as it
     describes; raises if any process fails. Each child pickles its rows
     into a pipe and leaves by os._exit, writing nothing else; every
     child is killed if this process's walk fails, and reaped before
     this returns or raises."""
     n = len(plan.axes[order[0]].points)
-    w = min(jobs, n, len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-    if w < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        w = 1
-    else:
+    if w > 1:
         import pickle
         import signal
     children, rows = [], None       # children: [rows pipe, pid]
@@ -485,8 +490,12 @@ def _walk(base: ValidatedSystem, plan: SweepPlan, order: list[int] | range,
         if stage == TREE:
             system = validate_system(root, nets, lib)
         else:
+            # the tree, and so its leaf classes, are the last validated
+            # system's; built directly, as dataclasses.replace takes
+            # about 7x as long
             system = ValidatedSystem(root=root, nets=nets,
-                                     library=validate_library(lib, entries))
+                                     library=validate_library(lib, entries),
+                                     leaf_classes=system.leaf_classes)
         if stage <= DERIVE:
             # drop the old tree and its memo first: two large ones are
             # never held

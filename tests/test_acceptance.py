@@ -24,8 +24,8 @@ from chipcost import wafer
 from chipcost.cli import main
 from chipcost.engine import defect_yield, die_cost
 from chipcost.model import check_fields
-from chipcost.sweep import FieldAxis, SplitAxis, SweepPlan, apply_field, \
-    apply_split
+from chipcost.sweep import (COST, DERIVE, TREE, FieldAxis, SplitAxis,
+                            SweepPlan, apply_field, apply_split)
 from conftest import config_path, split_tiles
 from gensys import (EDGES, at_edge, check_invariants, make_layers,
                     make_system, make_twins)
@@ -530,6 +530,43 @@ def test_derive_fits_each_distinct_tile_once(gp_system, monkeypatch):
         assert derived_differences(
             cc.derive(system).root,
             derive_without_memo(system).root) == [], seed
+
+
+def test_a_sweep_derives_each_distinct_tile_once_at_every_stage(
+        gp_system, monkeypatch):
+    # a DERIVE-stage point re-derives the tree its split built, keying
+    # the tiles by the classes validate_system found for that tree: each
+    # derived tree fits the root and one tile per class, 4 dies. The
+    # mesh link's receiver area follows its transmitter's (rx_area
+    # omitted; both were 0.05), so the tiles stay alike whichever way a
+    # link runs
+    lib = gp_system.library
+    base = dataclasses.replace(gp_system, library=dataclasses.replace(
+        lib, ios={**lib.ios, "mesh_link": dataclasses.replace(
+            lib.ios["mesh_link"], rx_area=None)}))
+    module = importlib.import_module("chipcost.derive")
+    fit, derives = module.reticle_fit, []
+
+    def counted(*args):
+        derives[-1] += 1
+        return fit(*args)
+
+    def derive(system):
+        derives.append(0)
+        return module.derive(system)
+
+    monkeypatch.setattr(module, "reticle_fit", counted)
+    monkeypatch.setattr(importlib.import_module("chipcost.sweep"), "derive",
+                        derive)
+    plan = SweepPlan(axes=(
+        SplitAxis(chip="tile", counts=(16, 64), side_bandwidth=1024.0,
+                  io_type="mesh_link"),
+        FieldAxis("library.io[mesh_link].tx_area", (0.05, 0.1)),
+        FieldAxis("library.layer[cmos_3nm].defect_density", (0.002, 0.01))))
+    assert [a.stage for a in plan.axes] == [TREE, DERIVE, COST]
+    rows = cc.run_sweep(base, plan)
+    assert derives == [4, 4, 4, 4]
+    assert rows == naive_sweep(base, plan)
 
 
 def test_evaluate_costs_each_distinct_tile_once(gp_system, monkeypatch):

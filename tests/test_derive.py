@@ -13,7 +13,7 @@ from chipcost.derive import test_io_count as scan_io_count
 from chipcost.model import _field_checks
 from chipcost.wafer import reticle_fit
 from conftest import split_tiles, zero_area_system
-from gensys import make_system, make_twins
+from gensys import make_layers, make_system, make_twins
 from oracles import (derive_without_memo, derived_differences,
                      evaluate_in_full, naive_net_tally)
 from test_model import MODELS
@@ -142,6 +142,21 @@ class TestIOPower:
         assert t.power_io["a"] == pytest.approx(12e-3)
 
 
+def assert_tally_matches_scans(root, nets, lib):
+    """tally_nets equals naive_net_tally, and lists the entries of each
+    chip's pad tables and of each matrix in the same order: derive's leaf
+    memo key reads the pad tables' order, and cell area sums the
+    matrices in theirs."""
+    got, want = tally_nets(root, nets, lib), naive_net_tally(root, nets, lib)
+    assert got == want
+    for field in ("crossing_pads", "external_pads"):
+        for name, table in getattr(want, field).items():
+            assert (list(getattr(got, field)[name].items())
+                    == list(table.items())), (field, name)
+    assert ([(io, list(m.items())) for io, m in got.matrices.items()]
+            == [(io, list(m.items())) for io, m in want.matrices.items()])
+
+
 class TestNetTally:
     def test_pads_cross_every_subtree_below_the_common_ancestor(self):
         # pkg holds x and y; x holds a, y holds b and c
@@ -162,15 +177,62 @@ class TestNetTally:
     def test_matches_per_chip_scans_on_random_systems(self, seed):
         for s in range(seed, seed + 100):
             system = make_system(s)
-            assert (tally_nets(system.root, system.nets, system.library)
-                    == naive_net_tally(system.root, system.nets,
-                                       system.library))
+            assert_tally_matches_scans(system.root, system.nets,
+                                       system.library)
+
+    @pytest.mark.parametrize("make", (make_layers, make_twins))
+    @pytest.mark.parametrize("seed", range(0, 200, 50))
+    def test_matches_per_chip_scans_on_layered_and_twin_systems(self, make,
+                                                               seed):
+        for s in range(seed, seed + 50):
+            system = make(s)
+            assert_tally_matches_scans(system.root, system.nets,
+                                       system.library)
 
     @pytest.mark.parametrize("n", (1, 16, 64, 256, 1024))
     def test_matches_per_chip_scans_on_tile_splits(self, gp_system, n):
         system = split_tiles(gp_system, n)
-        root, nets, lib = system.root, system.nets, system.library
-        assert tally_nets(root, nets, lib) == naive_net_tally(root, nets, lib)
+        assert_tally_matches_scans(system.root, system.nets, system.library)
+
+    def test_sibling_nets_two_levels_down_cross_just_their_ends(self):
+        # pkg holds x and y; x holds a and b, y holds c and d. a->b and
+        # d->c join siblings, x->y joins the two parents
+        root = chip("pkg", chip("x", chip("a"), chip("b")),
+                    chip("y", chip("c"), chip("d")))
+        lib = tiny_library(io4=IO4, bidi=BIDI)
+        nets = (net("a", "b", count=1), net("d", "c", "bidi", count=2),
+                net("b", "a", "bidi", count=1), net("x", "y", count=3))
+        t = tally_nets(root, nets, lib)
+        assert t.crossing_pads == {
+            "pkg": {}, "x": {"io4": 12}, "y": {"io4": 12},
+            "a": {"io4": 4, "bidi": 2}, "b": {"io4": 4, "bidi": 2},
+            "c": {"bidi": 4}, "d": {"bidi": 4}}
+        assert_tally_matches_scans(root, nets, lib)
+
+    def test_a_net_to_the_own_parent_crosses_the_child_alone(self):
+        # pkg holds x, x holds a: a->x leaves a only, x->pkg x only, and
+        # a->pkg leaves a and x
+        root = chip("pkg", chip("x", chip("a")))
+        lib = tiny_library()
+        nets = (net("a", "x", count=1), net("x", "pkg", count=2),
+                net("a", "pkg", count=3))
+        t = tally_nets(root, nets, lib)
+        assert t.crossing_pads == {"pkg": {}, "x": {"io4": 20},
+                                   "a": {"io4": 16}}
+        assert t.matrices == {"io4": {("a", "x"): 1, ("x", "pkg"): 2,
+                                      ("a", "pkg"): 3}}
+        assert_tally_matches_scans(root, nets, lib)
+
+    def test_a_root_leaf_tallies_its_external_nets(self):
+        root = chip("solo")
+        lib = tiny_library(io4=IO4, bidi=BIDI)
+        nets = (net("solo", "host", count=1), net("host", "solo", "bidi",
+                                                  count=2))
+        t = tally_nets(root, nets, lib)
+        assert t.crossing_pads == {"solo": {}}
+        assert t.external_pads == {"solo": {"io4": 4, "bidi": 4}}
+        assert t.matrices == {}
+        assert_tally_matches_scans(root, nets, lib)
 
 
     # nets of one class (io type, bandwidth, count, utilization) share
@@ -547,9 +609,73 @@ def split_with(system, n, tile):
         split.library)
 
 
+def first_matching_leaves(system) -> dict[str, str]:
+    """Each non-root leaf's name mapped to the name of the first non-root
+    leaf in pre-order whose inputs and tally match its own (its own name
+    if no leaf before it matches). Inputs match by == on every field but
+    the name, and by the sign of a zero core_area or black_box_power; the
+    tallies by their figures and their pad tables in order; and the
+    parents by their assembly process."""
+    tally = naive_net_tally(system.root, system.nets, system.library)
+    first, out = {}, {}
+
+    def visit(chip):
+        for c in chip.children:
+            if c.children:
+                visit(c)
+                continue
+            name = c.name
+            key = (dataclasses.replace(c, name=""),
+                   *(repr(v) if v == 0.0 else None
+                     for v in (c.core_area, c.black_box_power)),
+                   tally.area_io[name], tally.power_io[name],
+                   tuple(tally.crossing_pads[name].items()),
+                   tuple(tally.external_pads[name].items()),
+                   chip.assembly_process)
+            out[name] = first.setdefault(key, name)
+
+    visit(system.root)
+    return out
+
+
 class TestLeafMemo:
     """derive derives each distinct leaf once; the copies must be what
     deriving every leaf in full gives, bit for bit."""
+
+    @staticmethod
+    def assert_twins_are_first_matches(system):
+        ds = derive(system)
+        derived = {c.spec.name: c for c in ds.root.walk()}
+        assert ds.root.twin is None
+        for name, first in first_matching_leaves(system).items():
+            want = None if first == name else derived[first]
+            assert derived[name].twin is want, (name, first)
+
+    @pytest.mark.parametrize("n", (1, 16, 64, 256, 1024))
+    def test_each_twin_of_a_split_is_the_first_matching_leaf(self, gp_system,
+                                                            n):
+        self.assert_twins_are_first_matches(split_tiles(gp_system, n))
+
+    @pytest.mark.parametrize("first", range(0, 200, 50))
+    def test_each_twin_of_a_random_system_is_the_first_matching_leaf(
+            self, first):
+        for seed in range(first, first + 50):
+            self.assert_twins_are_first_matches(make_twins(seed))
+
+    def test_a_root_leaf_has_no_class_and_is_derived_in_full(self,
+                                                            gp_system):
+        tile = gp_system.root.children[0]
+        solo = dataclasses.replace(
+            tile, assembly_process=gp_system.root.assembly_process)
+        system = cc.validate_system(
+            solo, (cc.NetSpec(source=tile.name, dest="host",
+                              io_type="mesh_link", count=4),),
+            gp_system.library)
+        assert system.leaf_classes == {tile.name: None}
+        ds = derive(system)
+        assert ds.root.twin is None
+        assert derived_differences(ds.root,
+                                   derive_without_memo(system).root) == []
 
     def test_the_zero_float_fields_are_found(self):
         assert {"core_area", "black_box_power"} <= set(ZERO_FLOATS)

@@ -162,6 +162,17 @@ def test_a_failing_sweep_ends_in_one_declaration_order_walk(
     assert_no_children()
 
 
+def test_a_failing_sweep_in_declaration_order_is_walked_once(
+        gp_system, forks, walks):
+    # at jobs=1 a one-axis plan is visited in declaration order, so the
+    # walk that failed already raised the first failing point's error
+    plan = SweepPlan(axes=(FieldAxis(_CORE_AREA, (100.0, -5.0, 300.0)),))
+    assert _outcome(run_sweep, gp_system, plan, 1) == (
+        "error", "chip 'tile': core_area must be >= 0, got -5.0")
+    assert walks == [([0], range(0, 3))]
+    assert forks == []
+
+
 @pytest.mark.parametrize("values", [
     (-5.0, 100.0, 200.0, 300.0),    # fails in this process's range
     (100.0, 200.0, -5.0, 300.0),    # fails in the child's range

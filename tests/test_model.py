@@ -10,6 +10,7 @@ from chipcost import model
 from chipcost.derive import NetTally, tally_nets
 from chipcost.model import LIBRARY_KINDS, _field_checks, validate_library
 from chipcost.sweep import FieldAxis, SplitAxis
+from gensys import make_twins
 
 # every record class chipcost.model defines
 MODELS = tuple(v for v in vars(model).values()
@@ -282,6 +283,27 @@ class TestChipValidation:
         with pytest.raises(cc.ValidationError,
                            match="'x' appears more than once"):
             cc.validate_system(parent, (), lib())
+
+    @pytest.mark.parametrize("seed", range(0, 200, 50))
+    def test_leaves_equal_but_for_their_names_share_one_class(self, seed):
+        # classes number the distinct non-root leaves in pre-order; the
+        # root and every chip with children have none
+        copies = 0
+        for s in range(seed, seed + 50):
+            system = make_twins(s)
+            distinct = []
+            want = {}
+            for c in system.root.walk():
+                if c.children or c is system.root:
+                    want[c.name] = None
+                    continue
+                inputs = dataclasses.replace(c, name="")
+                if inputs not in distinct:
+                    distinct.append(inputs)
+                want[c.name] = distinct.index(inputs)
+            assert list(system.leaf_classes.items()) == list(want.items())
+            copies += sum(k is not None for k in want.values()) - len(distinct)
+        assert copies > 0
 
     @pytest.mark.parametrize("field", [name for name, _, _
                                        in _field_checks(cc.ChipSpec)])

@@ -134,8 +134,7 @@ def test_the_ref_record_names_every_entry_a_nodes_costs_read(seed):
             table[name] = _perturb_entry(entry)
             lib = dataclasses.replace(system.library, **{attr: table})
             ds = DerivedSystem(
-                system=cc.ValidatedSystem(root=system.root, nets=system.nets,
-                                          library=lib),
+                system=dataclasses.replace(system, library=lib),
                 matrices=tree.matrices, root=tree.root)
             report = evaluate(ds)
             changed = {n.name for n in report.nodes if n != base[n.name]}
@@ -175,8 +174,7 @@ def test_a_point_moving_only_an_assembly_keeps_every_die_figure(seed,
         table[name] = _perturb_entry(table[name])
         lib = dataclasses.replace(lib, **{attr: table})
         ds = DerivedSystem(
-            system=cc.ValidatedSystem(root=system.root, nets=system.nets,
-                                      library=lib),
+            system=dataclasses.replace(system, library=lib),
             matrices=tree.matrices, root=tree.root)
         del packed[:]
         report = evaluate(ds, memo=memo, moved={(kind, name)})
@@ -438,8 +436,7 @@ def test_an_unvalidated_base_is_refused(gp_system):
     bad = dataclasses.replace(gp_system.root, children=tuple(
         dataclasses.replace(c, core_area=-1.0) if c.name == "tile" else c
         for c in gp_system.root.children))
-    base = cc.ValidatedSystem(root=bad, nets=gp_system.nets,
-                              library=gp_system.library)
+    base = dataclasses.replace(gp_system, root=bad)
     plan = SweepPlan(axes=(FieldAxis(
         "library.layer[cmos_3nm].defect_density", (0.002, 0.01)),))
     with pytest.raises(cc.ValidationError,
