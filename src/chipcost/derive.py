@@ -23,8 +23,8 @@ its name, match an earlier leaf's, and whose tally and parent assembly
 do too, copies that leaf's figures and names it as its twin, so the
 tiles of a split are derived once per class and evaluate costs each
 class of them once. The inputs are matched by the leaf class that
-validate_system gave each leaf (ValidatedSystem.leaf_classes), not
-compared again field by field.
+validate_system gave each leaf object (ValidatedSystem.leaf_classes),
+not compared again field by field; any other chip is derived in full.
 
 IO cell area lands only on the two terminal chips of a net. A chip that
 merely routes a net between descendants accrues bumps for it, not cell
@@ -356,17 +356,17 @@ def _check_die(area: float, side: float, wp: WaferProcessDef,
 
 def derive_chip(chip: ChipSpec, tally: NetTally, library: Library,
                 parent_asm: AssemblyProcessDef | None,
-                classes: dict[str, int | None] | None = None,
-                memo: dict | None = None) -> DerivedChip:
-    """chip and its subtree. With a memo, classes is the system's
-    ValidatedSystem.leaf_classes: a leaf whose class, zero signs, tally
-    and parent assembly match those of a leaf derived before into that
+                classes: dict[str, tuple[ChipSpec, int | None]],
+                memo: dict) -> DerivedChip:
+    """chip and its subtree. classes is ValidatedSystem.leaf_classes: a
+    leaf whose entry holds this very chip (`is`) and whose class, zero
+    signs, tally and parent assembly match a leaf derived before into
     memo copies its figures under its own spec and names that leaf as
-    its twin; only a leaf that passed every check is kept. The root and
-    the chips with children have no class and are derived in full."""
+    its twin; only a leaf that passed every check is kept. Any other
+    chip (the root, one with children, one not held) is derived in full."""
     key = None
-    k = None if memo is None else classes[chip.name]
-    if k is not None:
+    owner, k = classes.get(chip.name, (None, None))
+    if owner is chip and k is not None:
         # the class stands for every input of the leaf but its name,
         # compared with ==, which takes -0.0 for 0.0: the two floats a
         # leaf keeps unchanged (area_core, power_total) key the sign of a

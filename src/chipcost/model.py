@@ -255,19 +255,18 @@ class ValidatedSystem:
     """A chip tree plus netlist checked against a library, as
     validate_system returns it.
 
-    leaf_classes maps each chip's name to its leaf class, None for the
-    root and for a chip with children. A class is a small int shared by
-    the non-root leaves whose inputs (every field but the name) are
-    equal, numbered in pre-order of first appearance; derive keys its
-    leaf memo by it. It follows from the tree alone, so a system built
-    with another library around the same tree keeps it (as
-    dataclasses.replace does); one with another tree must come from
-    validate_system."""
+    leaf_classes maps each chip's name to (that chip, its leaf class),
+    the class None for the root and for a chip with children. A class is
+    a small int shared by the non-root leaves whose inputs (every field
+    but the name) are equal, numbered in pre-order of first appearance;
+    derive keys its leaf memo by it, for the very chip objects held
+    here alone (`is`): a system built around another tree (as by
+    dataclasses.replace) derives that tree's new chips in full."""
 
     root: ChipSpec
     nets: tuple[NetSpec, ...]
     library: Library
-    leaf_classes: dict[str, int | None]
+    leaf_classes: dict[str, tuple[ChipSpec, int | None]]
 
 
 # A leaf's inputs: every field of it but its name (the first). A non-root
@@ -418,7 +417,7 @@ def validate_system(root: ChipSpec, nets: tuple[NetSpec, ...],
     endpoint checks, so the links of a split are checked in full once
     and the first failing net is named."""
     validate_library(library)
-    seen: dict[str, int | None] = {}    # the leaf classes by chip name
+    seen = {}           # (chip, leaf class) by chip name
     passed: dict[tuple, int] = {}       # the inputs of each class
     repeated = []
     stack = [root]      # pre-order, each chip's children pushed reversed
@@ -437,7 +436,7 @@ def validate_system(root: ChipSpec, nets: tuple[NetSpec, ...],
         name = chip.name
         if name in seen:
             repeated.append(name)
-        seen[name] = k
+        seen[name] = chip, k
     if repeated:
         raise ValidationError(
             f"chip name '{repeated[0]}' appears more than once in the tree",

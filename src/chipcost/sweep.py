@@ -55,7 +55,7 @@ import re
 import threading
 from dataclasses import dataclass
 
-from .derive import derive
+from .derive import DerivedSystem, derive
 from .engine import evaluate
 from .errors import ValidationError
 from .model import (_LEAF_INPUTS, LIBRARY_KINDS, ChipSpec, Library,
@@ -490,9 +490,9 @@ def _walk(base: ValidatedSystem, plan: SweepPlan, order: list[int] | range,
         if stage == TREE:
             system = validate_system(root, nets, lib)
         else:
-            # the tree, and so its leaf classes, are the last validated
-            # system's; built directly, as dataclasses.replace takes
-            # about 7x as long
+            # the tree is the last validated system's, and so are its
+            # leaf classes. This record and evaluate's input are built
+            # directly, as dataclasses.replace takes about 7x as long
             system = ValidatedSystem(root=root, nets=nets,
                                      library=validate_library(lib, entries),
                                      leaf_classes=system.leaf_classes)
@@ -505,8 +505,8 @@ def _walk(base: ValidatedSystem, plan: SweepPlan, order: list[int] | range,
         last = index
         rows[pos] = _row(
             map(cells.__getitem__, perm),
-            evaluate(dataclasses.replace(tree, system=system), memo=memo,
-                     moved=entries))
+            evaluate(DerivedSystem(system, tree.matrices, tree.root),
+                     memo=memo, moved=entries))
     return rows
 
 

@@ -357,11 +357,11 @@ def naive_net_tally(root, nets, library):
 
 def derive_without_memo(system):
     """The derived system with every chip derived in full: derive_chip
-    called without a leaf memo, so no leaf copies another's figures."""
+    called with no leaf classes, so no leaf copies another's figures."""
     from chipcost.derive import DerivedSystem, derive_chip, tally_nets
 
     tally = tally_nets(system.root, system.nets, system.library)
-    root = derive_chip(system.root, tally, system.library, None)
+    root = derive_chip(system.root, tally, system.library, None, {}, {})
     return DerivedSystem(system=system, matrices=tally.matrices, root=root)
 
 

@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 import chipcost as cc
-from chipcost.derive import (derive, net_instances, place_pads,
-                             power_pad_count, stack_area, tally_nets,
-                             _band_area)
+from chipcost.derive import (derive, derive_chip, net_instances,
+                             place_pads, power_pad_count, stack_area,
+                             tally_nets, _band_area)
 from chipcost.derive import test_io_count as scan_io_count
 from chipcost.model import _field_checks
 from chipcost.wafer import reticle_fit
@@ -609,6 +609,17 @@ def split_with(system, n, tile):
         split.library)
 
 
+def with_chip(root, name, edit):
+    """The tree with the chip of that name made edit(chip): that chip
+    and its ancestors are new objects, every other chip the same."""
+    if root.name == name:
+        return edit(root)
+    children = tuple(with_chip(c, name, edit) for c in root.children)
+    if all(a is b for a, b in zip(children, root.children)):
+        return root
+    return dataclasses.replace(root, children=children)
+
+
 def first_matching_leaves(system) -> dict[str, str]:
     """Each non-root leaf's name mapped to the name of the first non-root
     leaf in pre-order whose inputs and tally match its own (its own name
@@ -671,7 +682,8 @@ class TestLeafMemo:
             solo, (cc.NetSpec(source=tile.name, dest="host",
                               io_type="mesh_link", count=4),),
             gp_system.library)
-        assert system.leaf_classes == {tile.name: None}
+        assert system.leaf_classes == {tile.name: (solo, None)}
+        assert system.leaf_classes[tile.name][0] is system.root
         ds = derive(system)
         assert ds.root.twin is None
         assert derived_differences(ds.root,
@@ -815,6 +827,71 @@ class TestLeafMemo:
             assert cc.report_to_csv(report) == cc.report_to_csv(full), seed
             copied += sum(c.twin is not None for c in ds.root.walk())
         assert skipped > 0 and copied > 0
+
+    # A system's leaf classes answer only for the chip objects
+    # validate_system classed: a chip of a tree swapped in around them is
+    # derived in full, so such a system costs what validating it gives
+
+    def test_an_edited_tile_of_a_swapped_tree_is_derived_in_full(
+            self, gp_system):
+        # the 16 tiles share one class; tile_1_2 is no longer one of them
+        v16 = split_tiles(gp_system, 16)
+        root = with_chip(v16.root, "tile_1_2", lambda c: dataclasses.replace(
+            c, core_area=2 * c.core_area))
+        swapped = dataclasses.replace(v16, root=root)
+        checked = cc.validate_system(root, v16.nets, v16.library)
+        ds, want = derive(swapped), derive(checked)
+        assert ds.root.children[6].twin is None
+        assert ([c.twin is None for c in ds.root.walk()]
+                == [c.twin is None for c in want.root.walk()])
+        report = cc.evaluate(ds)
+        assert report.cost_total == 442.67026461346387
+        assert report.cost_total == cc.evaluate(want).cost_total
+        assert (cc.report_to_json(report)
+                == cc.report_to_json(evaluate_in_full(checked)))
+
+    def test_a_tree_with_names_the_classes_lack_is_derived_in_full(
+            self, gp_system):
+        # the unsplit system's classes know no tile_r_c
+        v4 = split_tiles(gp_system, 4)
+        swapped = dataclasses.replace(gp_system, root=v4.root, nets=v4.nets)
+        checked = cc.validate_system(v4.root, v4.nets, gp_system.library)
+        ds = derive(swapped)
+        assert all(c.twin is None for c in ds.root.walk())
+        report = cc.evaluate(ds)
+        assert report.cost_total == 604.009594191216
+        assert (cc.report_to_json(report)
+                == cc.report_to_json(cc.evaluate(derive(checked))))
+
+    @pytest.mark.parametrize("first", range(0, 200, 50))
+    def test_an_edited_twin_of_a_random_system_is_derived_in_full(
+            self, first):
+        # the first copied leaf of each system gets one more unit of
+        # quantity (its own NRE share) in a tree swapped in around the
+        # old classes
+        edited = 0
+        for seed in range(first, first + 50):
+            system = make_twins(seed)
+            copy = next((c.spec.name for c in derive(system).root.walk()
+                         if c.twin is not None), None)
+            if copy is None:
+                continue
+            edited += 1
+            root = with_chip(system.root, copy, lambda c: dataclasses.replace(
+                c, quantity=c.quantity + 1))
+            swapped = dataclasses.replace(system, root=root)
+            checked = cc.validate_system(root, system.nets, system.library)
+            got = cc.report_to_json(cc.evaluate(derive(swapped)))
+            assert got == cc.report_to_json(cc.evaluate(derive(checked))), seed
+            assert got == cc.report_to_json(evaluate_in_full(checked)), seed
+        assert edited > 0
+
+    def test_an_empty_class_map_copies_no_leaf(self, gp_system):
+        system = split_tiles(gp_system, 16)
+        tally = tally_nets(system.root, system.nets, system.library)
+        root = derive_chip(system.root, tally, system.library, None, {}, {})
+        assert all(c.twin is None for c in root.walk())
+        assert derived_differences(root, derive(system).root) == []
 
 
 class TestDerivedChipRecord:

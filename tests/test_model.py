@@ -301,7 +301,11 @@ class TestChipValidation:
                 if inputs not in distinct:
                     distinct.append(inputs)
                 want[c.name] = distinct.index(inputs)
-            assert list(system.leaf_classes.items()) == list(want.items())
+            assert [(name, k) for name, (_, k)
+                    in system.leaf_classes.items()] == list(want.items())
+            # each entry holds the tree's own chip object
+            assert all(system.leaf_classes[c.name][0] is c
+                       for c in system.root.walk())
             copies += sum(k is not None for k in want.values()) - len(distinct)
         assert copies > 0
 
